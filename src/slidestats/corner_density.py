@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .geometry import DescendingDistances
+from .geometry import as_descending
 from .numerics import (
     EULER_GAMMA,
     Interval,
@@ -56,17 +56,6 @@ def _xlogx(z: np.ndarray) -> np.ndarray:
     mask = z > 0.0
     out[mask] = z[mask] * np.log(z[mask])
     return out
-
-
-def _coerce_distances(distances: Any) -> np.ndarray:
-    if isinstance(distances, DescendingDistances):
-        return distances.values
-    values = np.sort(np.asarray(distances, dtype=float))[::-1]
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("distances must form a nonempty 1-d array")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("distances must be finite")
-    return values
 
 
 class CornerDensity:
@@ -136,9 +125,7 @@ class CornerDensity:
     @classmethod
     def from_distances(cls, distances: Any) -> "CornerDensity":
         """Step density of a nonincreasing positive sequence on [0, 1)."""
-        values = _coerce_distances(distances)
-        if values[-1] <= 0.0:
-            raise ValueError("a step density requires strictly positive distances")
+        values = as_descending(distances, positive=True).values
         n = values.size
 
         def fn(x: float) -> float:
@@ -233,9 +220,7 @@ def step_slide_function(distances: Any, t: float) -> SlideFunctionEvaluation:
     Weights are formed in log space, so large ``t`` and widely spread
     distances do not overflow.  At ``t = 0`` the value is exactly 0.
     """
-    values = _coerce_distances(distances)
-    if values[-1] <= 0.0:
-        raise ValueError("the step slide function requires positive distances")
+    values = as_descending(distances, positive=True).values
     if t < 0.0:
         raise ValueError("slide parameter must be nonnegative")
     n = values.size
@@ -354,14 +339,7 @@ class EmpiricalCdfRestriction:
 
 def empirical_cdf(distances: Any) -> EmpiricalCdfRestriction:
     """Empirical cdf restriction of a distance sequence (zeros permitted)."""
-    if isinstance(distances, DescendingDistances):
-        values = distances.values
-    else:
-        values = np.asarray(distances, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("distances must form a nonempty 1-d array")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("distances must be finite and nonnegative")
+    values = as_descending(distances).values
     jumps, counts = np.unique(values, return_counts=True)
     levels = np.cumsum(counts) / values.size
     return EmpiricalCdfRestriction(jumps, levels)

@@ -1,10 +1,13 @@
 """Point sets, metrics, and the distance extractions the statistics consume.
 
 A point set either carries Euclidean coordinates or arbitrary elements with a
-user metric.  Nearest-neighbour extraction uses an exact O(k^2) scan for small
-sets and a k-d tree above ``brute_threshold``; both routes return identical
-distances and the tests hold them to that.  Duplicate detection is exact
-coordinate equality, surfacing as a zero distance, never an epsilon test.
+user metric.  Euclidean nearest neighbours come from a sort in one dimension
+and from a k-d tree otherwise; the tests hold the tree to an all-pairs scan.
+Duplicate detection is exact coordinate equality, surfacing as a zero
+distance, never an epsilon test.
+
+:class:`DescendingDistances` is the one place a distance sequence is sorted
+and validated; the statistics reach it through :func:`as_descending`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from .errors import DuplicatePointError
 
 __all__ = [
     "DescendingDistances",
     "PointSet",
+    "as_descending",
     "consecutive_gaps",
     "nn_distances",
     "pairwise_distances",
@@ -28,7 +32,6 @@ __all__ = [
 
 _ORIGINS = ("nearest_neighbor", "pairwise", "raw")
 
-BRUTE_THRESHOLD = 2000
 PAIRWISE_CAP = 5000
 
 
@@ -70,6 +73,25 @@ class DescendingDistances:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def as_descending(
+    distances: Any, *, min_size: int = 1, positive: bool = False
+) -> DescendingDistances:
+    """``distances`` as a validated :class:`DescendingDistances`.
+
+    An existing instance passes through untouched; anything else is sorted
+    and checked by :meth:`DescendingDistances.from_values`.  ``min_size`` and
+    ``positive`` (every distance strictly above zero) are the caller's own
+    rules.  Every violation raises :class:`ValueError`.
+    """
+    if not isinstance(distances, DescendingDistances):
+        distances = DescendingDistances.from_values(distances)
+    if len(distances) < min_size:
+        raise ValueError(f"at least {min_size} distances are required")
+    if positive and distances.values[-1] <= 0.0:
+        raise ValueError("distances must be strictly positive")
+    return distances
 
 
 class PointSet:
@@ -175,12 +197,6 @@ def _nn_euclidean_1d(coords: np.ndarray) -> np.ndarray:
     return np.minimum(left, right)
 
 
-def _nn_euclidean_brute(coords: np.ndarray) -> np.ndarray:
-    dist = cdist(coords, coords)
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
-
-
 def _nn_euclidean_tree(coords: np.ndarray) -> np.ndarray:
     tree = cKDTree(coords)
     dist, _ = tree.query(coords, k=2, workers=-1)
@@ -188,9 +204,7 @@ def _nn_euclidean_tree(coords: np.ndarray) -> np.ndarray:
 
 
 def nn_distances(
-    points: PointSet,
-    allow_duplicates: bool = False,
-    brute_threshold: int = BRUTE_THRESHOLD,
+    points: PointSet, allow_duplicates: bool = False
 ) -> DescendingDistances:
     """Distance from every point to its nearest other point, sorted descending.
 
@@ -202,9 +216,10 @@ def nn_distances(
         When False (the default) a zero nearest-neighbour distance raises
         :class:`DuplicatePointError`.  When True zeros pass through and the
         result is tagged ``origin="raw"``; the level statistics use this.
-    brute_threshold : int
-        Largest Euclidean set handled by the exact all-pairs scan; larger
-        sets use a k-d tree.  Both routes produce identical distances.
+
+    Euclidean sets in one dimension are sorted; in two or more dimensions
+    every point queries one k-d tree.  A callable metric is scanned over all
+    pairs.
     """
     k = len(points)
     if k < 2:
@@ -213,8 +228,6 @@ def nn_distances(
         nearest = _nn_metric_scan(points._items(), points.metric)
     elif points.coords.shape[1] == 1:
         nearest = _nn_euclidean_1d(points.coords)
-    elif k <= brute_threshold:
-        nearest = _nn_euclidean_brute(points.coords)
     else:
         nearest = _nn_euclidean_tree(points.coords)
     if not allow_duplicates and np.any(nearest == 0.0):
@@ -223,7 +236,7 @@ def nn_distances(
             "distances require distinct points"
         )
     origin = "raw" if allow_duplicates else "nearest_neighbor"
-    return DescendingDistances(np.sort(nearest)[::-1].copy(), origin)
+    return DescendingDistances.from_values(nearest, origin)
 
 
 def pairwise_distances(
@@ -257,7 +270,7 @@ def pairwise_distances(
             "point set contains coinciding points; pairwise distances "
             "require distinct points"
         )
-    return DescendingDistances(np.sort(out)[::-1].copy(), "pairwise")
+    return DescendingDistances.from_values(out, "pairwise")
 
 
 def consecutive_gaps(points: PointSet) -> DescendingDistances:
@@ -274,4 +287,4 @@ def consecutive_gaps(points: PointSet) -> DescendingDistances:
     gaps = np.diff(np.sort(points.coords[:, 0]))
     if np.any(gaps == 0.0):
         raise DuplicatePointError("coinciding points leave a zero gap")
-    return DescendingDistances(np.sort(gaps)[::-1].copy(), "raw")
+    return DescendingDistances.from_values(gaps)

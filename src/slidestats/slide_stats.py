@@ -29,6 +29,7 @@ from .geometry import (
     PAIRWISE_CAP,
     DescendingDistances,
     PointSet,
+    as_descending,
     nn_distances,
     pairwise_distances,
 )
@@ -56,27 +57,6 @@ MAX_NUMERIC_ORDER = 4
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
-def _coerce(distances: Any, allow_zero: bool) -> np.ndarray:
-    if isinstance(distances, DescendingDistances):
-        values = distances.values
-    else:
-        values = np.sort(np.asarray(distances, dtype=float))[::-1]
-        if values.ndim != 1:
-            raise ValueError("distances must form a 1-d array")
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("distances must be finite")
-    if values.size < 2:
-        raise ValueError("at least two distances are required")
-    if allow_zero:
-        if values[0] <= 0.0:
-            raise ValueError("distances must not all be zero")
-        if values[-1] < 0.0:
-            raise ValueError("distances must be nonnegative")
-    elif values[-1] <= 0.0:
-        raise ValueError("distances must be strictly positive")
-    return values
-
-
 @dataclass(frozen=True)
 class LogDistanceSums:
     """The three log-distance sums the order-2 closed form is phrased in."""
@@ -88,7 +68,7 @@ class LogDistanceSums:
 
 def log_distance_sums(distances: Any) -> LogDistanceSums:
     """Compute the raw log sums of a positive nonincreasing sequence."""
-    d = _coerce(distances, allow_zero=False)
+    d = as_descending(distances, min_size=2, positive=True).values
     logs = np.log(d)
     rel = np.log(d[:-1] / d[-1])
     return LogDistanceSums(
@@ -107,7 +87,7 @@ def psi1(distances: Any) -> float:
     Being ratio-based it is exactly scale invariant; it is nonnegative for
     every valid sequence.
     """
-    d = _coerce(distances, allow_zero=False)
+    d = as_descending(distances, min_size=2, positive=True).values
     n = d.size
     second = math.log(n) / n * float(np.log(d[:-1] / d[-1]).sum())
     if n == 2:
@@ -126,7 +106,7 @@ def psi2_conjectured(distances: Any) -> float:
     :func:`psi_numeric` (as :func:`slide_numbers` does by default) to keep
     the conjecture honest on real data.
     """
-    d = _coerce(distances, allow_zero=False)
+    d = as_descending(distances, min_size=2, positive=True).values
     n = d.size
     ell = np.log(d / d[-1])  # ell[-1] == 0 exactly
     s1 = float(ell.sum())
@@ -153,7 +133,7 @@ def psi_numeric(
     Richardson error estimate exceeds ``tol`` (default: a per-order
     threshold), which typically signals a divergent derivative.
     """
-    d = _coerce(distances, allow_zero=False)
+    d = as_descending(distances, min_size=2, positive=True)
     if not 1 <= order <= MAX_NUMERIC_ORDER:
         raise ValueError(f"numeric slide orders run 1..{MAX_NUMERIC_ORDER}")
     if tol is None:
@@ -174,7 +154,9 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    d = _coerce(distances, allow_zero=True)
+    d = as_descending(distances, min_size=2).values
+    if d[0] <= 0.0:
+        raise ValueError("distances must not all be zero")
     n = d.size
     ratio = d / d.mean()
     edges = np.arange(n + 1) / n

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from slidestats import (
     DescendingDistances,
@@ -11,11 +12,17 @@ from slidestats import (
     nn_distances,
     pairwise_distances,
 )
-from slidestats.geometry import _nn_euclidean_brute, _nn_euclidean_tree
 
 
 def euclidean(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+
+def brute_force_nn(coords):
+    """Reference nearest-neighbour distances from the full distance matrix."""
+    dist = cdist(coords, coords)
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
 
 
 class TestDescendingDistances:
@@ -87,24 +94,24 @@ class TestNearestNeighbor:
         for m in (1, 2, 3):
             coords = rng.random((157, m))
             points = PointSet.from_coords(coords)
-            brute = np.sort(_nn_euclidean_brute(coords))
-            tree = np.sort(_nn_euclidean_tree(coords))
+            brute = np.sort(brute_force_nn(coords))
             joined = np.sort(nn_distances(points).values)
             scan = np.sort(
                 nn_distances(
                     PointSet.from_elements(list(coords), metric=euclidean)
                 ).values
             )
-            assert brute == pytest.approx(tree, rel=1e-12)
-            assert joined[::-1] == pytest.approx(np.sort(brute)[::-1], rel=1e-12)
+            assert joined[::-1] == pytest.approx(brute[::-1], rel=1e-12)
             assert scan == pytest.approx(brute, rel=1e-9)
 
-    def test_tree_path_used_above_threshold(self, rng):
-        coords = rng.random((64, 2))
-        points = PointSet.from_coords(coords)
-        small = nn_distances(points, brute_threshold=0)
-        big = nn_distances(points, brute_threshold=10_000)
-        assert small.values == pytest.approx(big.values, rel=1e-12)
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", [157, 2000, 2001])
+    def test_tree_matches_brute_force(self, rng, k, m):
+        coords = rng.random((k, m))
+        reference = np.sort(brute_force_nn(coords))[::-1]
+        assert nn_distances(PointSet.from_coords(coords)).values == pytest.approx(
+            reference, rel=1e-12
+        )
 
     def test_duplicates(self):
         points = PointSet.from_coords([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])

@@ -141,6 +141,27 @@ class TestPsi2:
     def test_constant_sequence(self):
         assert psi2_conjectured([5.0, 5.0, 5.0]) == 0.0
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double on this platform",
+    )
+    def test_conditioning_against_long_double(self):
+        # term1 and term2 of the closed form cancel about 1000:1 at this
+        # size; float64 must stay within 1e-11 of an extended-precision
+        # evaluation of the raw-sum form.
+        d = np.random.default_rng(0).random(10**6) ** 0.5
+        ld = np.sort(d.astype(np.longdouble))[::-1]
+        n = ld.size
+        logs = np.log(ld)
+        s1, s2 = logs.sum(), (logs**2).sum()
+        s3 = ((logs[:-1] - logs[-1]) ** 2).sum()
+        i = np.arange(1, n, dtype=np.longdouble)
+        pair = logs[:-1] + logs[1:]
+        acc = np.sum(i * np.log(i) * (logs[1:] - logs[:-1]) * (2 * s1 - n * pair))
+        acc += np.log(np.longdouble(n)) * (2 * (s1 - n * logs[-1]) ** 2 - n * s3)
+        acc += n * s2 - s1 * s1
+        assert abs(np.longdouble(psi2_conjectured(d)) + acc / (n * n)) <= 1e-11
+
 
 class TestPsiNumeric:
     def test_returns_estimate_with_metadata(self, rng):
