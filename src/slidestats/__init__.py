@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .corner_density import (
     CornerDensity,
-    EmpiricalCdfRestriction,
     SlideFunctionEvaluation,
     analytic_catalog,
-    empirical_cdf,
     genial_entropy,
     neg_log_derivative,
     neg_log_slide,
@@ -56,12 +54,10 @@ from .numerics import (
     EULER_GAMMA,
     DerivativeEstimate,
     Interval,
-    SpecialConstants,
     digamma,
     integrate,
     log_gamma,
     right_derivatives,
-    special_constants,
     zeta_int,
 )
 from .processes import (
@@ -75,14 +71,12 @@ from .processes import (
 )
 from .slide_stats import (
     MAX_NUMERIC_ORDER,
-    LogDistanceSums,
     SlideReport,
     TangibilityVerdict,
     assembly_numbers,
     dimension_estimates,
     level_derivatives,
     level_numbers,
-    log_distance_sums,
     psi1,
     psi2_conjectured,
     psi_numeric,
@@ -104,12 +98,10 @@ __all__ = [
     "DescendingDistances",
     "DivergenceError",
     "DuplicatePointError",
-    "EmpiricalCdfRestriction",
     "ExperimentConfig",
     "ExperimentReport",
     "FailedReplicate",
     "Interval",
-    "LogDistanceSums",
     "ParseError",
     "PointSet",
     "ProcessSpec",
@@ -117,7 +109,6 @@ __all__ = [
     "SlideFunctionEvaluation",
     "SlideReport",
     "SlideStatsError",
-    "SpecialConstants",
     "StatisticRequest",
     "TangibilityVerdict",
     "analytic_catalog",
@@ -126,7 +117,6 @@ __all__ = [
     "digamma",
     "dimension_estimates",
     "emit_report",
-    "empirical_cdf",
     "first_primes",
     "format_table",
     "generate",
@@ -136,7 +126,6 @@ __all__ = [
     "level_numbers",
     "load_points",
     "load_report",
-    "log_distance_sums",
     "log_gamma",
     "neg_log_derivative",
     "neg_log_slide",
@@ -152,7 +141,6 @@ __all__ = [
     "run_experiment",
     "slide_function",
     "slide_numbers",
-    "special_constants",
     "step_slide_function",
     "substream",
     "tangibility_check",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -32,10 +33,9 @@ from .harness import (
     render_reports,
     run_experiment,
 )
-from .numerics import EULER_GAMMA, Interval, integrate, right_derivatives
+from .numerics import Interval, integrate, right_derivatives
 from .processes import process_kinds
 from .slide_stats import (
-    SlideReport,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
@@ -194,7 +194,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
     if args.config is not None:
         try:
-            data = json.loads(open(args.config).read())
+            data = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ParseError(f"{args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:

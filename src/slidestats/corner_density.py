@@ -37,10 +37,8 @@ from .numerics import (
 
 __all__ = [
     "CornerDensity",
-    "EmpiricalCdfRestriction",
     "SlideFunctionEvaluation",
     "analytic_catalog",
-    "empirical_cdf",
     "genial_entropy",
     "neg_log_derivative",
     "neg_log_slide",
@@ -288,61 +286,6 @@ def slide_function(
     if -1e-9 < value < 0.0:
         value = max(value, -quad_tol)
     return SlideFunctionEvaluation(t, area, value)
-
-
-@dataclass(eq=False)
-class EmpiricalCdfRestriction:
-    """The cdf of a distance sequence, restricted to its jump structure.
-
-    ``jump_locations`` are the distinct distance values in ascending order;
-    ``level_values`` are the cdf levels reached at each jump.  Both evaluate
-    right-continuously.
-    """
-
-    jump_locations: np.ndarray
-    level_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        jumps = np.asarray(self.jump_locations, dtype=float)
-        levels = np.asarray(self.level_values, dtype=float)
-        if jumps.ndim != 1 or jumps.size == 0 or jumps.size != levels.size:
-            raise ValueError("jump locations and levels must match and be nonempty")
-        if np.any(np.diff(jumps) <= 0.0) or np.any(jumps < 0.0):
-            raise ValueError("jump locations must be nonnegative and increasing")
-        if np.any(np.diff(levels) <= 0.0) or levels[0] <= 0.0 or levels[-1] != 1.0:
-            raise ValueError("levels must increase through (0, 1] and end at 1")
-        self.jump_locations = jumps
-        self.level_values = levels
-
-    def __call__(self, y):
-        """Fraction of distances ``<= y`` (vectorized, right-continuous)."""
-        idx = np.searchsorted(self.jump_locations, y, side="right")
-        padded = np.concatenate(([0.0], self.level_values))
-        return padded[idx]
-
-    def survival(self, y):
-        """``1 - L(y)``, itself a corner density when distances are scaled."""
-        return 1.0 - self(y)
-
-    def generalized_inverse(self, x):
-        """``inf { y >= 0 : 1 - L(y) <= x }`` for ``0 <= x < 1``.
-
-        This recovers the step density of the underlying sequence: the
-        inverse at ``x`` equals the ``ceil((x n))``-th largest distance.
-        """
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x >= 1.0):
-            raise ValueError("the generalized inverse needs 0 <= x < 1")
-        idx = np.searchsorted(self.level_values, 1.0 - x, side="left")
-        return self.jump_locations[idx]
-
-
-def empirical_cdf(distances: Any) -> EmpiricalCdfRestriction:
-    """Empirical cdf restriction of a distance sequence (zeros permitted)."""
-    values = as_descending(distances).values
-    jumps, counts = np.unique(values, return_counts=True)
-    levels = np.cumsum(counts) / values.size
-    return EmpiricalCdfRestriction(jumps, levels)
 
 
 def neg_log_slide(t: float, power: float = 1.0) -> float:

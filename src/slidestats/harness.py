@@ -6,6 +6,11 @@ substream ``(master_seed, r)``, so a report is bit-for-bit reproducible no
 matter how the replicates are scheduled across workers.  A degenerate
 sample (coincident points) is retried on a fresh substream a bounded
 number of times and then recorded as a failure, never dropped silently.
+
+Configs and reports go through one JSON codec that walks the dataclass
+fields, so the field list is the schema.  Every config check lives in
+``__post_init__``: a config built in code and one loaded from JSON obey one set
+of rules.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -67,6 +72,10 @@ def _as_int(name: str, value: Any) -> int:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StatisticRequest:
     """One family of statistics to compute on every replicate."""
@@ -79,6 +88,10 @@ class StatisticRequest:
             raise ConfigError(
                 f"unknown statistic kind {self.kind!r}; "
                 f"choose from {list(_STAT_KINDS)}"
+            )
+        if not isinstance(self.orders, (list, tuple)):
+            raise ConfigError(
+                f"orders must be an array of integers, got {self.orders!r}"
             )
         orders = tuple(sorted(_as_int("order", o) for o in self.orders))
         object.__setattr__(self, "orders", orders)
@@ -112,9 +125,13 @@ class ExperimentConfig:
     cross_check: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "statistics", tuple(self.statistics))
         if not isinstance(self.process, ProcessSpec):
             raise ConfigError("process must be a ProcessSpec")
+        if not isinstance(self.statistics, (list, tuple)) or not all(
+            isinstance(request, StatisticRequest) for request in self.statistics
+        ):
+            raise ConfigError("statistics must be an array of statistic requests")
+        object.__setattr__(self, "statistics", tuple(self.statistics))
         if _as_int("sample_size", self.sample_size) < 2:
             raise ConfigError("sample_size must be at least 2")
         if _as_int("replicates", self.replicates) < 1:
@@ -126,10 +143,17 @@ class ExperimentConfig:
             raise ConfigError("statistic kinds must not repeat")
         if _as_int("master_seed", self.master_seed) < 0:
             raise ConfigError("master_seed must be nonnegative")
-        if not self.tangibility_tol > 0.0:
-            raise ConfigError("tangibility_tol must be positive")
+        tol = self.tangibility_tol
+        if not (_is_number(tol) and tol > 0.0):
+            raise ConfigError(f"tangibility_tol must be a positive number, got {tol!r}")
+        object.__setattr__(self, "tangibility_tol", float(tol))
         if _as_int("workers", self.workers) < 1:
             raise ConfigError("workers must be at least 1")
+        _as_int("pairwise_cap", self.pairwise_cap)
+        if not isinstance(self.cross_check, bool):
+            raise ConfigError(
+                f"cross_check must be a boolean, got {self.cross_check!r}"
+            )
         if "assembly" in kinds and self.sample_size > self.pairwise_cap:
             raise ConfigError(
                 f"assembly statistics need sample_size <= pairwise_cap "
@@ -137,90 +161,22 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "process": {
-                "kind": self.process.kind,
-                "params": dict(self.process.params),
-                "seed": self.process.seed,
-            },
-            "sample_size": self.sample_size,
-            "replicates": self.replicates,
-            "statistics": [
-                {"kind": request.kind, "orders": list(request.orders)}
-                for request in self.statistics
-            ],
-            "master_seed": self.master_seed,
-            "tangibility_tol": self.tangibility_tol,
-            "workers": self.workers,
-            "pairwise_cap": self.pairwise_cap,
-            "cross_check": self.cross_check,
-        }
+        """The config as a JSON object keyed by field name."""
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        known = {
-            "process",
-            "sample_size",
-            "replicates",
-            "statistics",
-            "master_seed",
-            "tangibility_tol",
-            "workers",
-            "pairwise_cap",
-            "cross_check",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        missing = {"process", "sample_size", "replicates"} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        process = data["process"]
-        if not isinstance(process, dict):
-            raise ConfigError("process must be an object with a kind")
-        extra = set(process) - {"kind", "params", "seed"}
-        if extra:
-            raise ConfigError(f"unknown process keys: {sorted(extra)}")
-        if "kind" not in process:
-            raise ConfigError("process needs a kind")
-        params = process.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("process params must be an object")
-        spec = ProcessSpec(
-            process["kind"], dict(params), _as_int("seed", process.get("seed", 0))
+        """Rebuild a config from ``to_dict`` output; absent optional keys default."""
+        kwargs = _json_kwargs(cls, data, "config")
+        kwargs["process"] = ProcessSpec(
+            **_json_kwargs(ProcessSpec, kwargs["process"], "process")
         )
-        requests = data.get("statistics", [{"kind": "slide", "orders": [1, 2]}])
-        if not isinstance(requests, list):
-            raise ConfigError("statistics must be an array of requests")
-        statistics = []
-        for entry in requests:
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ConfigError("each statistic request needs a kind")
-            extra = set(entry) - {"kind", "orders"}
-            if extra:
-                raise ConfigError(f"unknown statistic keys: {sorted(extra)}")
-            statistics.append(
-                StatisticRequest(entry["kind"], tuple(entry.get("orders", (1, 2))))
+        if "statistics" in kwargs:
+            kwargs["statistics"] = tuple(
+                StatisticRequest(**_json_kwargs(StatisticRequest, entry, "statistic"))
+                for entry in _json_array(kwargs["statistics"], "statistics")
             )
-        tol = data.get("tangibility_tol", 0.1)
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise ConfigError("tangibility_tol must be a number")
-        cross_check = data.get("cross_check", True)
-        if not isinstance(cross_check, bool):
-            raise ConfigError("cross_check must be a boolean")
-        return cls(
-            process=spec,
-            sample_size=_as_int("sample_size", data["sample_size"]),
-            replicates=_as_int("replicates", data["replicates"]),
-            statistics=tuple(statistics),
-            master_seed=_as_int("master_seed", data.get("master_seed", 0)),
-            tangibility_tol=float(tol),
-            workers=_as_int("workers", data.get("workers", 1)),
-            pairwise_cap=_as_int("pairwise_cap", data.get("pairwise_cap", PAIRWISE_CAP)),
-            cross_check=cross_check,
-        )
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -252,96 +208,82 @@ class ExperimentReport:
     provenance: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
-        verdict = None
-        if self.tangibility is not None:
-            verdict = {
-                "dimension_estimates": {
-                    str(order): value
-                    for order, value in self.tangibility.dimension_estimates.items()
-                },
-                "consensus_dimension": self.tangibility.consensus_dimension,
-                "residuals": {
-                    str(order): value
-                    for order, value in self.tangibility.residuals.items()
-                },
-                "tangible": self.tangibility.tangible,
-                "tolerance": self.tangibility.tolerance,
-            }
-        estimates = None
-        if self.dimension_estimates is not None:
-            estimates = {
-                str(order): value
-                for order, value in self.dimension_estimates.items()
-            }
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "provenance": dict(self.provenance),
-            "per_replicate": {
-                key: list(values) for key, values in self.per_replicate.items()
-            },
-            "aggregates": {
-                key: {"mean": agg.mean, "sd": agg.sd, "count": agg.count}
-                for key, agg in self.aggregates.items()
-            },
-            "dimension_estimates": estimates,
-            "tangibility": verdict,
-            "failed_replicates": [
-                {
-                    "replicate": failure.replicate,
-                    "attempts": failure.attempts,
-                    "error": failure.error,
-                }
-                for failure in self.failed_replicates
-            ],
-        }
+        """The report as a JSON object keyed by field name, plus its schema."""
+        return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentReport":
-        if not isinstance(data, dict):
-            raise ParseError("report must be a JSON object")
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ParseError(
-                f"unsupported report schema {version!r}; expected {SCHEMA_VERSION}"
-            )
+        """Rebuild a report from ``to_dict`` output; malformed input is a ParseError."""
         try:
-            config = ExperimentConfig.from_dict(data["config"])
-            verdict = None
-            if data["tangibility"] is not None:
-                raw = data["tangibility"]
-                verdict = TangibilityVerdict(
-                    {int(k): v for k, v in raw["dimension_estimates"].items()},
-                    raw["consensus_dimension"],
-                    {int(k): v for k, v in raw["residuals"].items()},
-                    raw["tangible"],
-                    raw["tolerance"],
+            version = data.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ParseError(
+                    f"unsupported report schema {version!r}; "
+                    f"expected {SCHEMA_VERSION}"
                 )
-            estimates = None
-            if data["dimension_estimates"] is not None:
-                estimates = {
-                    int(k): v for k, v in data["dimension_estimates"].items()
-                }
-            return cls(
-                config=config,
-                per_replicate={
-                    key: tuple(values)
-                    for key, values in data["per_replicate"].items()
-                },
-                aggregates={
-                    key: Aggregate(raw["mean"], raw["sd"], raw["count"])
-                    for key, raw in data["aggregates"].items()
-                },
-                dimension_estimates=estimates,
-                tangibility=verdict,
-                failed_replicates=tuple(
-                    FailedReplicate(raw["replicate"], raw["attempts"], raw["error"])
-                    for raw in data["failed_replicates"]
-                ),
-                provenance=dict(data["provenance"]),
+            body = {k: v for k, v in data.items() if k != "schema_version"}
+            kwargs = _json_kwargs(cls, body, "report")
+            kwargs["config"] = ExperimentConfig.from_dict(kwargs["config"])
+            kwargs["per_replicate"] = {
+                key: tuple(values) for key, values in kwargs["per_replicate"].items()
+            }
+            kwargs["aggregates"] = {
+                key: Aggregate(**raw) for key, raw in kwargs["aggregates"].items()
+            }
+            kwargs["dimension_estimates"] = _int_keys(kwargs["dimension_estimates"])
+            if kwargs["tangibility"] is not None:
+                verdict = TangibilityVerdict(**kwargs["tangibility"])
+                kwargs["tangibility"] = replace(
+                    verdict,
+                    dimension_estimates=_int_keys(verdict.dimension_estimates),
+                    residuals=_int_keys(verdict.residuals),
+                )
+            kwargs["failed_replicates"] = tuple(
+                FailedReplicate(**raw) for raw in kwargs["failed_replicates"]
             )
-        except (KeyError, TypeError) as exc:
+            return cls(**kwargs)
+        except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed report: {exc}") from exc
+
+
+def _to_json(value: Any) -> Any:
+    """Encode dataclasses by field name, dicts with string keys, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _to_json(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _json_kwargs(cls: type, data: Any, label: str) -> dict[str, Any]:
+    """Keyword arguments for ``cls`` from a JSON object naming exactly its fields.
+
+    Optional fields may be absent; the values are left to ``__post_init__``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {data!r}")
+    extra = set(data) - {f.name for f in fields(cls)}
+    if extra:
+        raise ConfigError(f"unknown {label} keys: {sorted(extra)}")
+    required = {
+        f.name for f in fields(cls) if f.default is MISSING is f.default_factory
+    }
+    missing = required - set(data)
+    if missing:
+        raise ConfigError(f"missing {label} keys: {sorted(missing)}")
+    return dict(data)
+
+
+def _json_array(data: Any, label: str) -> list[Any]:
+    if not isinstance(data, list):
+        raise ConfigError(f"{label} must be a JSON array, got {data!r}")
+    return data
+
+
+def _int_keys(mapping: dict[str, Any] | None) -> dict[int, Any] | None:
+    return None if mapping is None else {int(k): v for k, v in mapping.items()}
 
 
 def _method(kind: str, order: int) -> str:
@@ -664,10 +606,6 @@ def _parse_csv_points(path: Path) -> np.ndarray:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_json_points(path: Path) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError
@@ -25,12 +25,10 @@ __all__ = [
     "EULER_GAMMA",
     "DerivativeEstimate",
     "Interval",
-    "SpecialConstants",
     "digamma",
     "integrate",
     "log_gamma",
     "right_derivatives",
-    "special_constants",
     "zeta_int",
 ]
 
@@ -316,24 +314,6 @@ def zeta_int(n: int) -> float:
             power /= big_n * big_n
         correction += c * rising * power
     return partial + tail + correction
-
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Bundle of constants used by the closed-form statistics."""
-
-    euler_gamma: float
-    zeta_values: dict[int, float] = field(default_factory=dict)
-
-
-def special_constants(max_order: int = 16) -> SpecialConstants:
-    """Euler's constant together with zeta values for orders ``2..max_order``."""
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
-    return SpecialConstants(
-        euler_gamma=EULER_GAMMA,
-        zeta_values={n: zeta_int(n) for n in range(2, max_order + 1)},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,18 @@ class ProcessSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(
                 f"unknown process kind {self.kind!r}; "
                 f"choose from {process_kinds()}"
             )
+        if not isinstance(self.params, dict):
+            raise ConfigError(
+                f"process params must be an object, got {self.params!r}"
+            )
         _require_params(self.kind, self.params, _KINDS[self.kind][1])
-        if not isinstance(self.seed, int) or self.seed < 0:
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
 

@@ -36,14 +36,12 @@ from .geometry import (
 from .numerics import DerivativeEstimate, right_derivatives
 
 __all__ = [
-    "LogDistanceSums",
     "SlideReport",
     "TangibilityVerdict",
     "assembly_numbers",
     "dimension_estimates",
     "level_derivatives",
     "level_numbers",
-    "log_distance_sums",
     "psi1",
     "psi2_conjectured",
     "psi_numeric",
@@ -55,27 +53,6 @@ MAX_NUMERIC_ORDER = 4
 
 # Default reliability thresholds for the differentiation oracle, by order.
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
-
-
-@dataclass(frozen=True)
-class LogDistanceSums:
-    """The three log-distance sums the order-2 closed form is phrased in."""
-
-    s1: float  # sum of ln d_i
-    s2: float  # sum of (ln d_i)^2
-    s3: float  # sum over i < n of (ln(d_i / d_n))^2
-
-
-def log_distance_sums(distances: Any) -> LogDistanceSums:
-    """Compute the raw log sums of a positive nonincreasing sequence."""
-    d = as_descending(distances, min_size=2, positive=True).values
-    logs = np.log(d)
-    rel = np.log(d[:-1] / d[-1])
-    return LogDistanceSums(
-        s1=float(logs.sum()),
-        s2=float((logs**2).sum()),
-        s3=float((rel**2).sum()),
-    )
 
 
 def psi1(distances: Any) -> float:

@@ -133,6 +133,20 @@ class TestSimulate:
         path.write_text("{oops")
         assert main(["simulate", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"statistics": [{"kind": "slide", "orders": 5}]},
+            {"process": {"kind": ["normal"]}},
+        ],
+    )
+    def test_malformed_config_file_is_a_config_error(self, tmp_path, capsys, override):
+        config = {"process": {"kind": "normal"}, "sample_size": 30, "replicates": 2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **override}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestValidate:
     def test_quick_suite_passes(self, capsys):

@@ -14,7 +14,6 @@ from slidestats import (
     SlideFunctionEvaluation,
     analytic_catalog,
     digamma,
-    empirical_cdf,
     genial_entropy,
     integrate,
     log_gamma,
@@ -283,43 +282,3 @@ class TestNegLogDerivatives:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             neg_log_derivative(0)
-
-
-class TestEmpiricalCdf:
-    def test_hand_example(self):
-        cdf = empirical_cdf([2.0, 1.0, 1.0])
-        assert list(cdf.jump_locations) == [1.0, 2.0]
-        assert list(cdf.level_values) == pytest.approx([2.0 / 3.0, 1.0])
-        assert cdf(0.5) == 0.0
-        assert cdf(1.0) == pytest.approx(2.0 / 3.0)
-        assert cdf(1.5) == pytest.approx(2.0 / 3.0)
-        assert cdf(2.0) == 1.0
-        assert cdf(9.0) == 1.0
-        assert cdf.survival(1.5) == pytest.approx(1.0 / 3.0)
-
-    def test_generalized_inverse_hand_values(self):
-        cdf = empirical_cdf([2.0, 1.0, 1.0])
-        assert cdf.generalized_inverse(0.0) == 2.0
-        assert cdf.generalized_inverse(0.4) == 1.0
-        assert cdf.generalized_inverse(0.9) == 1.0
-        with pytest.raises(ValueError):
-            cdf.generalized_inverse(1.0)
-        with pytest.raises(ValueError):
-            cdf.generalized_inverse(-0.1)
-
-    def test_inverse_matches_step_density(self, rng):
-        # the step density is a generalized inverse of the survival
-        # function; check strictly inside each cell to dodge boundaries
-        d = random_descending(rng, 13)
-        cdf = empirical_cdf(d)
-        n = len(d)
-        for i in range(n):
-            for frac in (0.3, 0.77):
-                x = (i + frac) / n
-                assert cdf.generalized_inverse(x) == d[i]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-        with pytest.raises(ValueError):
-            empirical_cdf([1.0, -2.0])

@@ -18,10 +18,8 @@ from slidestats import (
     CornerDensity,
     DescendingDistances,
     DuplicatePointError,
-    empirical_cdf,
     genial_entropy,
     level_derivatives,
-    log_distance_sums,
     psi1,
     psi2_conjectured,
     psi_numeric,
@@ -34,21 +32,14 @@ def _density(d):
     return [density.normalization, genial_entropy(density), *density.distances]
 
 
-def _cdf(d):
-    cdf = empirical_cdf(d)
-    return [*cdf.jump_locations, *cdf.level_values]
-
-
 # name, call returning a flat list of floats, minimum length, zeros allowed
 CONSUMERS = [
     ("psi1", lambda d: [psi1(d)], 2, False),
     ("psi2_conjectured", lambda d: [psi2_conjectured(d)], 2, False),
     ("psi_numeric", lambda d: astuple(psi_numeric(d, 2)), 2, False),
     ("level_derivatives", lambda d: level_derivatives(d, 3), 2, True),
-    ("log_distance_sums", lambda d: astuple(log_distance_sums(d)), 2, False),
     ("step_slide_function", lambda d: astuple(step_slide_function(d, 0.7)), 1, False),
     ("CornerDensity.from_distances", _density, 1, False),
-    ("empirical_cdf", _cdf, 1, True),
 ]
 IDS = [entry[0] for entry in CONSUMERS]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -94,12 +95,57 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self):
         data = small_config().to_dict()
         data["verbosity"] = 3
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['verbosity'\]"):
             ExperimentConfig.from_dict(data)
 
     def test_missing_required_key(self):
         data = small_config().to_dict()
         del data["replicates"]
+        with pytest.raises(ConfigError, match=r"missing config keys: \['replicates'\]"):
+            ExperimentConfig.from_dict(data)
+
+    def test_nested_keys_are_checked(self):
+        data = small_config().to_dict()
+        data["process"]["rate"] = 1.0
+        with pytest.raises(ConfigError, match=r"unknown process keys: \['rate'\]"):
+            ExperimentConfig.from_dict(data)
+        data = small_config().to_dict()
+        del data["process"]["kind"]
+        with pytest.raises(ConfigError, match=r"missing process keys: \['kind'\]"):
+            ExperimentConfig.from_dict(data)
+        data = small_config().to_dict()
+        data["statistics"][0]["tol"] = 0.1
+        with pytest.raises(ConfigError, match=r"unknown statistic keys: \['tol'\]"):
+            ExperimentConfig.from_dict(data)
+
+    def test_defaults_fill_optional_keys(self):
+        data = {"process": {"kind": "normal"}, "sample_size": 10, "replicates": 2}
+        assert ExperimentConfig.from_dict(data) == ExperimentConfig(
+            ProcessSpec("normal"), 10, 2
+        )
+
+    @pytest.mark.parametrize(
+        "part, name, value",
+        [
+            ("config", "cross_check", "no"),
+            ("config", "pairwise_cap", True),
+            ("config", "tangibility_tol", True),
+            ("config", "tangibility_tol", "x"),
+            ("process", "seed", True),
+            ("process", "params", []),
+        ],
+        ids=lambda value: repr(value) if not isinstance(value, str) else None,
+    )
+    def test_constructor_and_loader_agree(self, part, name, value):
+        data = small_config().to_dict()
+        if part == "process":
+            with pytest.raises(ConfigError):
+                ProcessSpec(**{**data["process"], name: value})
+            data["process"][name] = value
+        else:
+            with pytest.raises(ConfigError):
+                small_config(**{name: value})
+            data[name] = value
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
@@ -174,12 +220,44 @@ class TestRunExperiment:
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
-        report = run_experiment(small_config())
-        path = tmp_path / "report.json"
-        emit_report(report, "json", path)
-        loaded = load_report(path)
-        assert loaded.to_dict() == report.to_dict()
-        assert loaded.aggregates["slide:1"] == report.aggregates["slide:1"]
+        dup = tmp_path / "dup.csv"
+        dup.write_text("1.0,0.0\n1.0,0.0\n2.0,0.0\n")
+        slide_1 = (StatisticRequest("slide", (1,)),)
+        full = run_experiment(small_config())
+        no_verdict = run_experiment(small_config(statistics=slide_1))
+        all_failed = run_experiment(
+            small_config(
+                process=ProcessSpec("from_file", {"path": str(dup)}),
+                sample_size=3,
+                replicates=2,
+                statistics=slide_1,
+            )
+        )
+        assert full.tangibility is not None and no_verdict.tangibility is None
+        assert all_failed.aggregates == {} and all_failed.dimension_estimates is None
+        for index, report in enumerate((full, no_verdict, all_failed)):
+            path = tmp_path / f"report{index}.json"
+            emit_report(report, "json", path)
+            loaded = load_report(path)
+            assert loaded == report
+            assert loaded.to_dict() == report.to_dict()
+            assert render_report(loaded, "json") == path.read_text()
+
+    def test_schema_v1_file_re_renders_byte_for_byte(self):
+        path = Path(__file__).parent / "data" / "report_v1.json"
+        report = load_report(path)
+        assert list(report.dimension_estimates) == [1, 2]
+        assert list(report.tangibility.residuals) == [2]
+        assert report.failed_replicates[0].replicate == 2
+        assert render_report(report, "json") == path.read_text()
+
+    def test_per_replicate_must_be_an_object(self, tmp_path):
+        data = run_experiment(small_config(replicates=1)).to_dict()
+        data["per_replicate"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="malformed report"):
+            load_report(path)
 
     def test_schema_version_checked(self, tmp_path):
         report = run_experiment(small_config(replicates=1))

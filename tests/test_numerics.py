@@ -15,7 +15,6 @@ from slidestats import (
     integrate,
     log_gamma,
     right_derivatives,
-    special_constants,
     zeta_int,
 )
 
@@ -131,14 +130,6 @@ class TestSpecialFunctions:
     def test_zeta_domain(self):
         with pytest.raises(ValueError):
             zeta_int(1)
-
-    def test_special_constants_bundle(self):
-        bundle = special_constants(max_order=6)
-        assert bundle.euler_gamma == EULER_GAMMA
-        assert sorted(bundle.zeta_values) == [2, 3, 4, 5, 6]
-        assert bundle.zeta_values[3] == pytest.approx(1.2020569031595943, rel=1e-13)
-        with pytest.raises(ValueError):
-            special_constants(max_order=1)
 
 
 class TestRightDerivatives:

@@ -15,7 +15,6 @@ from slidestats import (
     dimension_estimates,
     level_derivatives,
     level_numbers,
-    log_distance_sums,
     neg_log_derivative,
     nn_distances,
     psi1,
@@ -36,8 +35,10 @@ def psi2_raw_sums(d):
     """Literal transcription of the order-2 closed form in raw log sums."""
     d = np.asarray(d, dtype=float)
     n = d.size
-    sums = log_distance_sums(d)
-    s1, s2, s3 = sums.s1, sums.s2, sums.s3
+    logs = np.log(d)
+    s1 = float(logs.sum())
+    s2 = float((logs**2).sum())
+    s3 = float((np.log(d[:-1] / d[-1]) ** 2).sum())
     acc = 0.0
     for i in range(1, n):
         acc += (
@@ -49,14 +50,6 @@ def psi2_raw_sums(d):
     acc += math.log(n) * (2.0 * (s1 - n * math.log(d[-1])) ** 2 - n * s3)
     acc += n * s2 - s1 * s1
     return -acc / (n * n)
-
-
-class TestLogDistanceSums:
-    def test_hand_values(self):
-        sums = log_distance_sums([math.e, 1.0])
-        assert sums.s1 == pytest.approx(1.0, abs=1e-15)
-        assert sums.s2 == pytest.approx(1.0, abs=1e-15)
-        assert sums.s3 == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPsi1:
