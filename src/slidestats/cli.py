@@ -201,6 +201,13 @@ def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
             raise ParseError(f"{args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{args.config}: config must be a JSON object")
+        process = data.get("process", {})
+        if not isinstance(process, dict):
+            raise ConfigError(f"process must be a JSON object, got {process!r}")
+        if not isinstance(process.get("params", {}), dict):
+            raise ConfigError(
+                f"process params must be an object, got {process['params']!r}"
+            )
     else:
         data = {}
     params = _parse_params(args.param)

@@ -322,12 +322,20 @@ def _replicate_outcome(
 ) -> dict[str, float] | FailedReplicate:
     last_error = "unknown"
     for attempt in range(_MAX_ATTEMPTS):
-        stream = substream(config.master_seed, attempt * _ATTEMPT_STRIDE + replicate)
-        points = generate(config.process, config.sample_size, stream=stream)
+        index = attempt * _ATTEMPT_STRIDE + replicate
+        stream = substream(config.master_seed, index)
         try:
+            points = generate(config.process, config.sample_size, stream=stream)
             return _point_statistics(config, points)
         except DuplicatePointError as exc:
             last_error = str(exc)
+        except Exception as exc:
+            # Name the failing draw; the note survives pickling from a worker.
+            # Appending to __notes__ is what BaseException.add_note does on
+            # Python 3.11+, and it also works on 3.10.
+            note = f"replicate {replicate}, attempt {attempt}, substream {index}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            raise
     return FailedReplicate(replicate, _MAX_ATTEMPTS, last_error)
 
 

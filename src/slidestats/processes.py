@@ -70,10 +70,7 @@ def _require_params(kind: str, params: dict, allowed: set[str]) -> None:
 
 
 def _gen_uniform_cube(rng: np.random.Generator, k: int, params: dict) -> np.ndarray:
-    dim = params.get("dim", 1)
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"uniform_cube needs an integer dim >= 1, got {dim!r}")
-    return rng.random((k, dim))
+    return rng.random((k, params.get("dim", 1)))
 
 
 def _gen_normal(rng, k, params):
@@ -210,6 +207,9 @@ class ProcessSpec:
                 f"process params must be an object, got {self.params!r}"
             )
         _require_params(self.kind, self.params, _KINDS[self.kind][1])
+        dim = self.params.get("dim", 1)  # only uniform_cube accepts a dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ConfigError(f"uniform_cube needs an integer dim >= 1, got {dim!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")

@@ -55,47 +55,53 @@ MAX_NUMERIC_ORDER = 4
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
+def _rank_weights(n: int) -> np.ndarray:
+    """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``.
+
+    They decrease in ``r`` and sum to zero.
+    """
+    g = np.arange(n + 1.0)
+    g[1:] *= np.log(g[1:])  # g_r = r ln(r), so g_0 = g_1 = 0
+    return math.log(n) - np.diff(g)
+
+
+def _closed_forms(distances: Any) -> tuple[float, float]:
+    """``(psi1, psi2_conjectured)`` from one pass over ``ln(d_r / d_n)``."""
+    d = as_descending(distances, min_size=2, positive=True).values
+    n = d.size
+    ell = np.log(d / d[-1])  # ell[-1] == 0 exactly
+    c_ell = _rank_weights(n) * ell
+    a = float(c_ell.sum())
+    b = float(np.dot(c_ell, ell))
+    s1 = float(ell.sum())
+    s2 = float(np.dot(ell, ell))
+    return a / n, -(2.0 * s1 * a - n * b + n * s2 - s1 * s1) / (n * n)
+
+
 def psi1(distances: Any) -> float:
     """First slide derivative of the step density of ``distances``, exactly.
 
-    The closed form is a rank-weighted combination of log ratios:
-    ``(1/n) sum_{i=2}^{n-1} i ln(i) ln(d_{i+1}/d_i)
-    + (ln(n)/n) sum_{i<n} ln(d_i/d_n)``.
-    Being ratio-based it is exactly scale invariant; it is nonnegative for
-    every valid sequence.
+    Over the descending distances ``d_1 >= ... >= d_n`` it is
+    ``(1/n) sum_r c_r ln(d_r / d_n)`` with the rank weights
+    ``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)``.  Being ratio-based it is
+    scale invariant to rounding; it is nonnegative for every valid sequence,
+    because the ``c_r`` decrease and sum to zero.
     """
-    d = as_descending(distances, min_size=2, positive=True).values
-    n = d.size
-    second = math.log(n) / n * float(np.log(d[:-1] / d[-1]).sum())
-    if n == 2:
-        return second
-    rank = np.arange(2.0, n)
-    first = float(np.sum(rank * np.log(rank) * np.log(d[2:] / d[1:-1]))) / n
-    return first + second
+    return _closed_forms(distances)[0]
 
 
 def psi2_conjectured(distances: Any) -> float:
     """Second slide derivative via the conjectured closed form.
 
-    Evaluated with logs taken relative to the smallest distance, which is
-    algebraically identical to the raw-sum form but keeps the expression
-    manifestly scale invariant in floating point.  Pair with
+    With ``ell_r = ln(d_r / d_n)`` and the weights ``c_r`` of :func:`psi1`,
+    it is ``-(2 S1 A - n B + n S2 - S1^2) / n^2``, where ``A, B`` are the
+    sums of ``c_r ell_r, c_r ell_r^2`` and ``S1, S2`` those of
+    ``ell_r, ell_r^2``; summation by parts of the raw-log-sum form gives it,
+    without that form's large cancelling terms.  Pair with
     :func:`psi_numeric` (as :func:`slide_numbers` does by default) to keep
     the conjecture honest on real data.
     """
-    d = as_descending(distances, min_size=2, positive=True).values
-    n = d.size
-    ell = np.log(d / d[-1])  # ell[-1] == 0 exactly
-    s1 = float(ell.sum())
-    s3 = float((ell[:-1] ** 2).sum())
-    rank = np.arange(1.0, n)
-    rank_log = rank * np.log(rank)
-    diff = ell[1:] - ell[:-1]
-    pair = ell[:-1] + ell[1:]
-    term1 = float(np.sum(rank_log * diff * (2.0 * s1 - n * pair)))
-    term2 = math.log(n) * (2.0 * s1 * s1 - n * s3)
-    term3 = n * s3 - s1 * s1  # n s2 - s1^2 with logs shifted to d_n
-    return -(term1 + term2 + term3) / (n * n)
+    return _closed_forms(distances)[1]
 
 
 def psi_numeric(
@@ -125,9 +131,11 @@ def psi_numeric(
 def level_derivatives(distances: Any, max_order: int) -> list[float]:
     """Derivatives at 0 along the level family, orders ``1..max_order``.
 
-    Order 1 is a rank-weighted sum; each higher order k is the negated k-th
-    moment of ``1 - d_i / mean``.  Zero distances are permitted (duplicate
-    points), but not all of them may vanish.
+    Order 1 is ``(1/n) sum_r c_r d_r / mean(d)`` over the descending
+    distances, with the rank weights ``c_r`` of :func:`psi1`; each higher
+    order k is the negated k-th moment of ``1 - d_r / mean(d)``.  Zero
+    distances are permitted (duplicate points), but not all of them may
+    vanish.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -136,11 +144,7 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
         raise ValueError("distances must not all be zero")
     n = d.size
     ratio = d / d.mean()
-    edges = np.arange(n + 1) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        glog = np.where(edges > 0.0, edges * np.log(np.maximum(edges, 1e-300)), 0.0)
-    weights = glog[1:] - glog[:-1]
-    out = [float(np.sum((1.0 - ratio) * weights))]
+    out = [float(np.dot(_rank_weights(n), ratio)) / n]
     for k in range(2, max_order + 1):
         out.append(float(-np.mean((1.0 - ratio) ** k)))
     return out
@@ -186,12 +190,13 @@ def _slide_report(
     values: dict[int, float] = {}
     method: dict[int, str] = {}
     oracle_error: dict[int, float] = {}
+    closed = _closed_forms(d) if wanted[0] <= 2 else None
     for order in wanted:
         if order == 1:
-            values[order] = psi1(d)
+            values[order] = closed[0]
             method[order] = "closed_form"
         elif order == 2:
-            values[order] = psi2_conjectured(d)
+            values[order] = closed[1]
             method[order] = "conjectured_closed_form"
             if cross_check:
                 est = psi_numeric(d, 2)

@@ -134,18 +134,37 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 3
 
     @pytest.mark.parametrize(
-        "override",
+        "override, flags, named",
         [
-            {"statistics": [{"kind": "slide", "orders": 5}]},
-            {"process": {"kind": ["normal"]}},
+            ({"statistics": [{"kind": "slide", "orders": 5}]}, [], "orders"),
+            ({"process": {"kind": ["normal"]}}, [], "process"),
+            ({"process": ["normal"]}, ["--param", "dim=2"], "process"),
+            ({"process": ["normal"]}, ["--dims", "1,2"], "process"),
+            (
+                {"process": {"kind": "uniform_cube", "params": [2]}},
+                ["--dims", "1,2"],
+                "process",
+            ),
+            ({"process": {"kind": "uniform_cube", "params": {"dim": True}}}, [], "dim"),
+        ],
+        ids=[
+            "override0",
+            "override1",
+            "process-array-with-param",
+            "process-array-with-dims",
+            "params-array-with-dims",
+            "bool-dim",
         ],
     )
-    def test_malformed_config_file_is_a_config_error(self, tmp_path, capsys, override):
+    def test_malformed_config_file_is_a_config_error(
+        self, tmp_path, capsys, override, flags, named
+    ):
         config = {"process": {"kind": "normal"}, "sample_size": 30, "replicates": 2}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**config, **override}))
-        assert main(["simulate", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["simulate", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestValidate:

@@ -15,12 +15,14 @@ from slidestats import (
     ProcessSpec,
     StatisticRequest,
     emit_report,
+    generate,
     load_points,
     load_report,
     render_report,
     render_reports,
     run_experiment,
 )
+from slidestats import harness
 
 
 def small_config(**overrides):
@@ -36,6 +38,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def generate_failing_at_stream_3(spec, k, stream=None):
+    """``generate`` with a bug that hits only the draw of substream 3."""
+    if stream.stream_index == 3:
+        raise RuntimeError("generator bug")
+    return generate(spec, k, stream=stream)
 
 
 class TestStatisticRequest:
@@ -133,6 +142,9 @@ class TestConfigValidation:
             ("config", "tangibility_tol", "x"),
             ("process", "seed", True),
             ("process", "params", []),
+            ("process", "params", {"dim": 0}),
+            ("process", "params", {"dim": True}),
+            ("process", "params", {"dim": 2.0}),
         ],
         ids=lambda value: repr(value) if not isinstance(value, str) else None,
     )
@@ -178,6 +190,13 @@ class TestRunExperiment:
         serial = run_experiment(small_config(replicates=6))
         pooled = run_experiment(small_config(replicates=6, workers=2))
         assert serial.per_replicate == pooled.per_replicate
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_replicate_is_named(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "generate", generate_failing_at_stream_3)
+        with pytest.raises(RuntimeError, match="generator bug") as info:
+            run_experiment(small_config(replicates=6, workers=workers))
+        assert info.value.__notes__ == ["replicate 3, attempt 0, substream 3"]
 
     def test_single_replicate_has_no_sd(self):
         report = run_experiment(small_config(replicates=1))

@@ -32,6 +32,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             generate(ProcessSpec("uniform_cube", {"dim": 2.0}), 5)
 
+    @pytest.mark.parametrize("dim", [0, -1, True, False, 2.0, "2", None])
+    def test_bad_dim_rejected_by_constructor(self, dim):
+        with pytest.raises(ConfigError, match="uniform_cube needs an integer dim"):
+            ProcessSpec("uniform_cube", {"dim": dim})
+
     def test_bad_seed(self):
         with pytest.raises(ConfigError):
             ProcessSpec("normal", seed=-1)

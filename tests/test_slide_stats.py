@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slidestats import (
     DescendingDistances,
@@ -25,6 +27,7 @@ from slidestats import (
     tangibility_check,
     zeta_int,
 )
+from slidestats.slide_stats import _closed_forms
 from conftest import random_descending
 
 LN2 = math.log(2.0)
@@ -50,6 +53,78 @@ def psi2_raw_sums(d):
     acc += math.log(n) * (2.0 * (s1 - n * math.log(d[-1])) ** 2 - n * s3)
     acc += n * s2 - s1 * s1
     return -acc / (n * n)
+
+
+def psi1_reference(d):
+    """The order-1 closed form as a sum over consecutive log ratios."""
+    d = np.sort(np.asarray(d, dtype=float))[::-1]
+    n = d.size
+    second = math.log(n) / n * float(np.log(d[:-1] / d[-1]).sum())
+    if n == 2:
+        return second
+    rank = np.arange(2.0, n)
+    first = float(np.sum(rank * np.log(rank) * np.log(d[2:] / d[1:-1]))) / n
+    return first + second
+
+
+def psi2_reference(d):
+    """The order-2 closed form with its rank-weighted and ln(n) terms apart."""
+    d = np.sort(np.asarray(d, dtype=float))[::-1]
+    n = d.size
+    ell = np.log(d / d[-1])
+    s1 = float(ell.sum())
+    s3 = float((ell[:-1] ** 2).sum())
+    rank = np.arange(1.0, n)
+    rank_log = rank * np.log(rank)
+    diff = ell[1:] - ell[:-1]
+    pair = ell[:-1] + ell[1:]
+    term1 = float(np.sum(rank_log * diff * (2.0 * s1 - n * pair)))
+    term2 = math.log(n) * (2.0 * s1 * s1 - n * s3)
+    term3 = n * s3 - s1 * s1
+    return -(term1 + term2 + term3) / (n * n)
+
+
+def level_order1_reference(d):
+    """Level order 1 with the increments of ``x ln(x)`` over ``[0, 1]``."""
+    d = np.sort(np.asarray(d, dtype=float))[::-1]
+    n = d.size
+    edges = np.arange(n + 1) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        glog = np.where(edges > 0.0, edges * np.log(np.maximum(edges, 1e-300)), 0.0)
+    return float(np.sum((1.0 - d / d.mean()) * np.diff(glog)))
+
+
+# Log distances; rounding them to few decimals makes ties.
+LOG_DISTANCES = st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=300)
+
+
+class TestClosedFormKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        logs=LOG_DISTANCES,
+        decimals=st.sampled_from([None, 0, 1]),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(logs=[1.0, 0.0], decimals=None, scale=3.0, seed=0)
+    @example(logs=[0.7, 0.0, 0.0], decimals=None, scale=0.5, seed=1)
+    @example(logs=[2.0, -1.0, 0.5], decimals=None, scale=100.0, seed=2)
+    @example(logs=[0.3, 0.3], decimals=None, scale=7.0, seed=3)
+    def test_matches_references_and_invariances(self, logs, decimals, scale, seed):
+        if decimals is not None:
+            logs = np.round(logs, decimals)
+        d = np.sort(np.exp(logs))[::-1]
+        one, two = _closed_forms(d)
+        assert (psi1(d), psi2_conjectured(d)) == (one, two)
+        assert one == pytest.approx(psi1_reference(d), rel=1e-12, abs=1e-13)
+        assert two == pytest.approx(psi2_reference(d), rel=1e-12, abs=1e-13)
+        assert level_derivatives(d, 1)[0] == pytest.approx(
+            level_order1_reference(d), rel=1e-12, abs=1e-13
+        )
+        shuffled = np.random.default_rng(seed).permutation(d)
+        assert _closed_forms(shuffled) == (one, two)
+        scaled = _closed_forms(scale * d)
+        assert scaled == pytest.approx((one, two), rel=1e-12, abs=1e-13)
 
 
 class TestPsi1:
@@ -139,9 +214,11 @@ class TestPsi2:
         reason="long double is no wider than double on this platform",
     )
     def test_conditioning_against_long_double(self):
-        # term1 and term2 of the closed form cancel about 1000:1 at this
-        # size; float64 must stay within 1e-11 of an extended-precision
-        # evaluation of the raw-sum form.
+        # In the raw-sum form the rank-weighted term and the ln(n) term of
+        # psi2 are each about 473 in size at this n and cancel to about
+        # 0.4; the rank-weight form has no such cancellation.  Both closed
+        # forms must stay within 1e-12 of an extended-precision evaluation
+        # of the raw-sum forms.
         d = np.random.default_rng(0).random(10**6) ** 0.5
         ld = np.sort(d.astype(np.longdouble))[::-1]
         n = ld.size
@@ -149,11 +226,16 @@ class TestPsi2:
         s1, s2 = logs.sum(), (logs**2).sum()
         s3 = ((logs[:-1] - logs[-1]) ** 2).sum()
         i = np.arange(1, n, dtype=np.longdouble)
+        rank_log = i * np.log(i)
+        diff = logs[1:] - logs[:-1]
+        log_n = np.log(np.longdouble(n))
+        one = (np.sum(rank_log * diff) + log_n * (s1 - n * logs[-1])) / n
         pair = logs[:-1] + logs[1:]
-        acc = np.sum(i * np.log(i) * (logs[1:] - logs[:-1]) * (2 * s1 - n * pair))
-        acc += np.log(np.longdouble(n)) * (2 * (s1 - n * logs[-1]) ** 2 - n * s3)
+        acc = np.sum(rank_log * diff * (2 * s1 - n * pair))
+        acc += log_n * (2 * (s1 - n * logs[-1]) ** 2 - n * s3)
         acc += n * s2 - s1 * s1
-        assert abs(np.longdouble(psi2_conjectured(d)) + acc / (n * n)) <= 1e-11
+        assert abs(np.longdouble(psi1(d)) - one) <= 1e-12
+        assert abs(np.longdouble(psi2_conjectured(d)) + acc / (n * n)) <= 1e-12
 
 
 class TestPsiNumeric:
