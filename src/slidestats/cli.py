@@ -23,7 +23,6 @@ from .corner_density import (
     genial_entropy,
     neg_log_slide,
     slide_function,
-    step_slide_function,
 )
 from .errors import ConfigError, DivergenceError, ParseError
 from .geometry import PAIRWISE_CAP
@@ -33,7 +32,7 @@ from .harness import (
     render_reports,
     run_experiment,
 )
-from .numerics import Interval, integrate, right_derivatives
+from .numerics import Interval, integrate
 from .processes import process_kinds
 from .slide_stats import (
     assembly_numbers,
@@ -41,6 +40,7 @@ from .slide_stats import (
     level_numbers,
     psi1,
     psi2_conjectured,
+    psi_numeric,
     slide_numbers,
     tangibility_check,
 )
@@ -284,10 +284,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for _ in range(count):
         n = int(rng.integers(2, max_n + 1))
         d = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))[::-1]
-        sigma = lambda t: step_slide_function(d, t).value
-        est = right_derivatives(sigma, 2)
-        worst1 = max(worst1, abs(psi1(d) - est[0].value))
-        worst2 = max(worst2, abs(psi2_conjectured(d) - est[1].value))
+        worst1 = max(worst1, abs(psi1(d) - psi_numeric(d, 1).value))
+        worst2 = max(worst2, abs(psi2_conjectured(d) - psi_numeric(d, 2).value))
     _check(
         "psi1 closed form vs derivative oracle",
         worst1 < 1e-6,

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from slidestats import (
     DescendingDistances,
     DuplicatePointError,
     PointSet,
+    ProcessSpec,
     consecutive_gaps,
+    generate,
     nn_distances,
     pairwise_distances,
 )
@@ -130,6 +133,39 @@ class TestNearestNeighbor:
         base = nn_distances(PointSet.from_coords(coords)).values
         scaled = nn_distances(PointSet.from_coords(coords * 37.5)).values
         assert scaled == pytest.approx(37.5 * base, rel=1e-12)
+
+
+class TestTreeOrderQuery:
+    """The tree is queried in its own order; the sorted values must not move."""
+
+    @staticmethod
+    def assert_bitwise(points, reference, allow_duplicates=False):
+        got = nn_distances(points, allow_duplicates=allow_duplicates).values
+        assert np.array_equal(got, np.sort(reference)[::-1])
+
+    def test_sierpinski(self):
+        points = generate(ProcessSpec("sierpinski", seed=5), 2000)
+        self.assert_bitwise(points, brute_force_nn(points.coords))
+
+    def test_lattice_ties(self):
+        grid = np.indices((40, 50)).reshape(2, -1).T.astype(float)
+        reference = brute_force_nn(grid)
+        assert np.all(reference == 1.0)
+        self.assert_bitwise(PointSet.from_coords(grid), reference)
+
+    def test_repeated_rows_pass_with_duplicates_allowed(self, rng):
+        base = rng.random((300, 3))
+        coords = np.concatenate((base, base[:40], base[100:110]))
+        reference = brute_force_nn(coords)
+        assert np.count_nonzero(reference == 0.0) == 100
+        self.assert_bitwise(
+            PointSet.from_coords(coords), reference, allow_duplicates=True
+        )
+
+    def test_matches_plain_query_at_scale(self):
+        coords = np.random.default_rng(7).random((10**5, 2))
+        plain = cKDTree(coords).query(coords, k=2)[0][:, 1]
+        self.assert_bitwise(PointSet.from_coords(coords), plain)
 
 
 class TestPairwise:
