@@ -219,7 +219,10 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     """
     n = values.size
     log_n = math.log(n)
-    log_d = np.log(values)
+    # numpy's log can round a strided view and a contiguous copy differently
+    # in the last bit; taking it on contiguous values makes the curve
+    # independent of memory layout (no copy for contiguous input).
+    log_d = np.log(np.ascontiguousarray(values))
     log_top = float(log_d[0])
     ell = log_d - log_top  # <= 0, exactly 0 at the top; d_r / d_1 could underflow
     ell_sum = float(ell.sum())

@@ -7,7 +7,11 @@ Duplicate detection is exact coordinate equality, surfacing as a zero
 distance, never an epsilon test.
 
 :class:`DescendingDistances` is the one place a distance sequence is sorted
-and validated; the statistics reach it through :func:`as_descending`.
+and validated; the statistics reach it through :func:`as_descending`.  Every
+extraction sorts the array it has just made once, in place, into contiguous
+non-increasing order, and then checks only its ends: NaN and -inf sort last
+and +inf first, so the first and last values decide finiteness, sign and
+zeros.
 """
 
 from __future__ import annotations
@@ -49,30 +53,73 @@ class DescendingDistances:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("distances must form a nonempty 1-d array")
+        _check_shape(values)
         if not np.all(np.isfinite(values)):
             raise ValueError("distances must be finite")
         if np.any(values < 0.0):
             raise ValueError("distances must be nonnegative")
         if np.any(np.diff(values) > 0.0):
             raise ValueError("distances must be in non-increasing order")
+        self.values = values
+        self._check_origin()
+
+    def _check_origin(self) -> None:
         if self.origin not in _ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
-        if self.origin != "raw" and values[-1] <= 0.0:
+        if self.origin != "raw" and self.values[-1] <= 0.0:
             raise DuplicatePointError(
                 f"{self.origin} distances must be strictly positive"
             )
-        self.values = values
 
     @classmethod
     def from_values(cls, values: Any, origin: str = "raw") -> "DescendingDistances":
-        """Sort ``values`` into non-increasing order and wrap them."""
-        values = np.sort(np.asarray(values, dtype=float))[::-1]
-        return cls(values.copy(), origin)
+        """Sort ``values`` into non-increasing order and wrap them.
+
+        ``values`` is copied exactly once and never modified; the copy is
+        sorted in place and checked at its ends, with the same errors as
+        direct construction.
+        """
+        return cls._from_owned(np.array(values, dtype=float), origin)
+
+    @classmethod
+    def _from_owned(
+        cls, values: np.ndarray, origin: str, duplicate_error: str | None = None
+    ) -> "DescendingDistances":
+        """Sort ``values``, a float array no caller holds, in place and wrap it.
+
+        Sorting the negated values keeps the result contiguous: numpy's
+        ``log`` rounds strided input differently from contiguous input, so a
+        reversed view of an ascending sort would not give bit-identical
+        statistics.  After the sort +inf comes first and -inf and NaN last,
+        so the ends alone decide what ``__post_init__`` scans the whole array
+        for.  With ``duplicate_error`` a zero raises
+        :class:`DuplicatePointError` with that message; only negative values
+        and NaN sort after a zero, so a positive last value rules zeros out
+        without a scan.
+        """
+        _check_shape(values)
+        np.negative(values, out=values)
+        values.sort()
+        np.negative(values, out=values)
+        if duplicate_error and not values[-1] > 0.0 and np.any(values == 0.0):
+            raise DuplicatePointError(duplicate_error)
+        if not (np.isfinite(values[0]) and np.isfinite(values[-1])):
+            raise ValueError("distances must be finite")
+        if values[-1] < 0.0:
+            raise ValueError("distances must be nonnegative")
+        out = cls.__new__(cls)
+        out.values = values
+        out.origin = origin
+        out._check_origin()
+        return out
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _check_shape(values: np.ndarray) -> None:
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("distances must form a nonempty 1-d array")
 
 
 def as_descending(
@@ -81,7 +128,8 @@ def as_descending(
     """``distances`` as a validated :class:`DescendingDistances`.
 
     An existing instance passes through untouched; anything else is sorted
-    and checked by :meth:`DescendingDistances.from_values`.  ``min_size`` and
+    and checked by :meth:`DescendingDistances.from_values`, which copies it
+    once and leaves the caller's sequence as it was.  ``min_size`` and
     ``positive`` (every distance strictly above zero) are the caller's own
     rules.  Every violation raises :class:`ValueError`.
     """
@@ -235,13 +283,14 @@ def nn_distances(
         nearest = _nn_euclidean_1d(points.coords)
     else:
         nearest = _nn_euclidean_tree(points.coords)
-    if not allow_duplicates and np.any(nearest == 0.0):
-        raise DuplicatePointError(
-            "point set contains coinciding points; nearest-neighbour "
-            "distances require distinct points"
-        )
-    origin = "raw" if allow_duplicates else "nearest_neighbor"
-    return DescendingDistances.from_values(nearest, origin)
+    if allow_duplicates:
+        return DescendingDistances._from_owned(nearest, "raw")
+    return DescendingDistances._from_owned(
+        nearest,
+        "nearest_neighbor",
+        "point set contains coinciding points; nearest-neighbour "
+        "distances require distinct points",
+    )
 
 
 def pairwise_distances(
@@ -270,12 +319,12 @@ def pairwise_distances(
                 pos += 1
     else:
         out = pdist(points.coords)
-    if np.any(out == 0.0):
-        raise DuplicatePointError(
-            "point set contains coinciding points; pairwise distances "
-            "require distinct points"
-        )
-    return DescendingDistances.from_values(out, "pairwise")
+    return DescendingDistances._from_owned(
+        out,
+        "pairwise",
+        "point set contains coinciding points; pairwise distances "
+        "require distinct points",
+    )
 
 
 def consecutive_gaps(points: PointSet) -> DescendingDistances:
@@ -290,6 +339,6 @@ def consecutive_gaps(points: PointSet) -> DescendingDistances:
     if len(points) < 3:
         raise ValueError("consecutive gaps need at least 3 points")
     gaps = np.diff(np.sort(points.coords[:, 0]))
-    if np.any(gaps == 0.0):
-        raise DuplicatePointError("coinciding points leave a zero gap")
-    return DescendingDistances.from_values(gaps)
+    return DescendingDistances._from_owned(
+        gaps, "raw", "coinciding points leave a zero gap"
+    )

@@ -34,6 +34,7 @@ from .slide_stats import (
     MAX_NUMERIC_ORDER,
     SlideReport,
     TangibilityVerdict,
+    _rank_weights,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
@@ -346,21 +347,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     tangibility is judged on the aggregate slide means when order 1 and at
     least one higher order were requested.
     """
-    if config.workers == 1:
-        outcomes = [
-            _replicate_outcome(config, r) for r in range(config.replicates)
-        ]
-    else:
-        chunk = max(1, config.replicates // (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(
-                pool.map(
-                    _replicate_outcome,
-                    repeat(config),
-                    range(config.replicates),
-                    chunksize=chunk,
+    try:
+        if config.workers == 1:
+            outcomes = [
+                _replicate_outcome(config, r) for r in range(config.replicates)
+            ]
+        else:
+            chunk = max(1, config.replicates // (4 * config.workers))
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                outcomes = list(
+                    pool.map(
+                        _replicate_outcome,
+                        repeat(config),
+                        range(config.replicates),
+                        chunksize=chunk,
+                    )
                 )
-            )
+    finally:
+        # The rank weights serve this experiment's replicates; at the default
+        # pairwise cap one size holds about 100 MB, so none outlives the run.
+        _rank_weights.cache_clear()
     failures = tuple(o for o in outcomes if isinstance(o, FailedReplicate))
     successes = [o for o in outcomes if not isinstance(o, FailedReplicate)]
     per_replicate: dict[str, tuple[float, ...]] = {}

@@ -13,6 +13,7 @@ cos_iteration and primes are deterministic and ignore the stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -104,13 +105,17 @@ def _gen_cantor(rng, k, params):
 
 def _gen_sierpinski(rng, k, params):
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
-    choices = rng.integers(0, 3, size=k + _SIERPINSKI_BURN_IN)
-    point = vertices.mean(axis=0)
+    targets = vertices[rng.integers(0, 3, size=k + _SIERPINSKI_BURN_IN)]
+    start = vertices.mean(axis=0).tolist()
     out = np.empty((k, 2))
-    for i, c in enumerate(choices):
-        point = 0.5 * (point + vertices[c])
-        if i >= _SIERPINSKI_BURN_IN:
-            out[i - _SIERPINSKI_BURN_IN] = point
+    # The chaos game y_i = (y_{i-1} + v_i) / 2 runs per coordinate over Python
+    # floats, which round exactly as the same steps on numpy vectors do; the
+    # start point and the burn-in points are dropped.
+    for j in range(2):
+        path = itertools.accumulate(
+            targets[:, j].tolist(), lambda y, v: 0.5 * (y + v), initial=start[j]
+        )
+        out[:, j] = list(path)[_SIERPINSKI_BURN_IN + 1 :]
     return out
 
 

@@ -17,6 +17,7 @@ distance by a positive constant leaves the results unchanged to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -61,14 +62,21 @@ MAX_NUMERIC_ORDER = 4
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
+@functools.lru_cache(maxsize=2)
 def _rank_weights(n: int) -> np.ndarray:
     """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``.
 
-    They decrease in ``r`` and sum to zero.
+    They decrease in ``r`` and sum to zero.  Every replicate of an experiment
+    has the same ``n``, so the weights are cached by size; two sizes cover
+    the nearest-neighbour and the pairwise extraction of one experiment, at
+    ``8 n`` bytes each.  The returned array is read-only because every
+    caller shares it.
     """
     g = np.arange(n + 1.0)
     g[1:] *= np.log(g[1:])  # g_r = r ln(r), so g_0 = g_1 = 0
-    return math.log(n) - np.diff(g)
+    weights = math.log(n) - np.diff(g)
+    weights.flags.writeable = False
+    return weights
 
 
 def _closed_forms(distances: Any) -> tuple[float, float]:

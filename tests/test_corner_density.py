@@ -257,6 +257,7 @@ class TestSlideCurve:
     @example(logs=[30.0, -30.0], decimals=None)
     @example(logs=[30.0, 29.99, -30.0], decimals=None)
     @example(logs=[0.7, 0.0, 0.0], decimals=None)
+    @example(logs=[0.0, -2.220446049250313e-16], decimals=None)
     def test_matches_reference_sum(self, logs, decimals):
         if decimals is not None:
             logs = np.round(logs, decimals)

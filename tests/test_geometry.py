@@ -1,7 +1,11 @@
 """Point sets and distance extraction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -53,6 +57,81 @@ class TestDescendingDistances:
         d = DescendingDistances.from_values([0.5, 3.0, 1.0])
         assert list(d.values) == [3.0, 1.0, 0.5]
         assert len(d) == 3
+
+    def test_direct_construction_rejects_unsorted(self):
+        with pytest.raises(ValueError, match="non-increasing order"):
+            DescendingDistances(np.array([3.0, 1.0, 2.0]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from([1.0, 2.5, 1e-300, 1e300]),
+                st.floats(1e-8, 1e8),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        as_array=st.booleans(),
+    )
+    def test_from_values_matches_copying_sort(self, values, as_array):
+        given_values = np.array(values) if as_array else values
+        before = np.array(values)
+        d = DescendingDistances.from_values(given_values)
+        expected = np.sort(np.asarray(values, dtype=float))[::-1].copy()
+        assert d.values.flags.c_contiguous
+        assert d.values.tobytes() == expected.tobytes()
+        assert np.array_equal(d.values, expected)
+        if as_array:
+            assert given_values.tobytes() == before.tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        values=st.lists(
+            st.sampled_from(
+                [math.nan, math.inf, -math.inf, -0.5, -1e-300, 0.0, 1e-300, 0.5, 2.0]
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        origin=st.sampled_from(["raw", "nearest_neighbor", "pairwise"]),
+    )
+    def test_from_values_errors_match_full_checks(self, values, origin):
+        # Sorting and then direct construction runs every O(n) check; the
+        # checks at the ends of the in-place sort must agree with it.
+        def outcome(build):
+            try:
+                return build().values.tobytes()
+            except (ValueError, DuplicatePointError) as exc:
+                return type(exc), str(exc)
+
+        sorted_copy = np.sort(np.asarray(values, dtype=float))[::-1].copy()
+        expected = outcome(lambda: DescendingDistances(sorted_copy, origin))
+        assert outcome(lambda: DescendingDistances.from_values(values, origin)) == expected
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([math.nan, 2.0, 1.0], "distances must be finite"),
+            ([2.0, math.nan, 1.0], "distances must be finite"),
+            ([2.0, 1.0, math.nan], "distances must be finite"),
+            ([math.inf, 1.0], "distances must be finite"),
+            ([1.0, math.inf], "distances must be finite"),
+            ([-math.inf, 1.0], "distances must be finite"),
+            ([1.0, 2.0, -math.inf], "distances must be finite"),
+            ([2.0, -0.5, 1.0], "distances must be nonnegative"),
+            ([[2.0, 1.0], [0.5, 0.25]], "nonempty 1-d array"),
+            ([], "nonempty 1-d array"),
+        ],
+    )
+    def test_from_values_rejects_malformed(self, bad, message):
+        caller = np.array(bad, dtype=float)
+        before = caller.copy()
+        for given_values in (bad, caller):
+            with pytest.raises(ValueError, match=message):
+                DescendingDistances.from_values(given_values)
+        assert np.array_equal(caller, before, equal_nan=True)
 
 
 class TestPointSet:
@@ -196,6 +275,15 @@ class TestPairwise:
     def test_duplicates_always_rejected(self):
         points = PointSet.from_coords([[0.0], [0.0], [1.0]])
         with pytest.raises(DuplicatePointError):
+            pairwise_distances(points)
+
+    def test_duplicates_found_behind_nan(self):
+        # NaN sorts after the zero, so the last value alone cannot show it.
+        def metric(a, b):
+            return math.nan if {a, b} == {0.0, 3.0} else abs(a - b)
+
+        points = PointSet.from_elements([0.0, 1.0, 1.0, 3.0], metric)
+        with pytest.raises(DuplicatePointError, match="coinciding points"):
             pairwise_distances(points)
 
 

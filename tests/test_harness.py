@@ -22,7 +22,7 @@ from slidestats import (
     render_reports,
     run_experiment,
 )
-from slidestats import harness
+from slidestats import harness, slide_stats
 
 
 def small_config(**overrides):
@@ -190,6 +190,16 @@ class TestRunExperiment:
         serial = run_experiment(small_config(replicates=6))
         pooled = run_experiment(small_config(replicates=6, workers=2))
         assert serial.per_replicate == pooled.per_replicate
+
+    def test_rank_weights_released_after_run(self, monkeypatch):
+        slide_stats._rank_weights(7)
+        run_experiment(small_config(statistics=(StatisticRequest("assembly", (1,)),)))
+        assert slide_stats._rank_weights.cache_info().currsize == 0
+        slide_stats._rank_weights(7)
+        monkeypatch.setattr(harness, "generate", generate_failing_at_stream_3)
+        with pytest.raises(RuntimeError, match="generator bug"):
+            run_experiment(small_config(replicates=6))
+        assert slide_stats._rank_weights.cache_info().currsize == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_replicate_is_named(self, monkeypatch, workers):

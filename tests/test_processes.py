@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidestats import (
     ConfigError,
@@ -119,6 +121,25 @@ class TestGeometry:
         assert np.all(y >= -1e-12)
         assert np.all(y <= s * x + 1e-12)
         assert np.all(y <= s * (1.0 - x) + 1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.one_of(st.sampled_from([1, 2, 10, 1000, 10_000]), st.integers(1, 300)),
+    )
+    def test_sierpinski_matches_point_loop(self, seed, k):
+        # The chaos game as one numpy step per point, burn-in included.
+        rng = RandomStream(seed, 3).generator()
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
+        choices = rng.integers(0, 3, size=k + 100)
+        point = vertices.mean(axis=0)
+        expected = np.empty((k, 2))
+        for i, c in enumerate(choices):
+            point = 0.5 * (point + vertices[c])
+            if i >= 100:
+                expected[i - 100] = point
+        points = generate(ProcessSpec("sierpinski"), k, RandomStream(seed, 3))
+        assert points.coords.tobytes() == expected.tobytes()
 
     def test_log_uniform_is_nonpositive(self):
         points = generate(ProcessSpec("log_uniform", seed=6), 1000)

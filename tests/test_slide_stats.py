@@ -27,7 +27,7 @@ from slidestats import (
     tangibility_check,
     zeta_int,
 )
-from slidestats.slide_stats import _closed_forms
+from slidestats.slide_stats import _closed_forms, _rank_weights
 from conftest import random_descending
 
 LN2 = math.log(2.0)
@@ -125,6 +125,21 @@ class TestClosedFormKernel:
         assert _closed_forms(shuffled) == (one, two)
         scaled = _closed_forms(scale * d)
         assert scaled == pytest.approx((one, two), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("sizes", [[2, 7, 7, 3, 2], [499_500, 10**4, 499_500, 1]])
+    def test_rank_weights_cached_and_read_only(self, sizes):
+        for n in sizes:
+            cached = _rank_weights(n)
+            assert cached is _rank_weights(n)
+            assert cached.tobytes() == _rank_weights.__wrapped__(n).tobytes()
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+            with pytest.raises(ValueError):
+                cached *= 2.0
+            r = np.arange(2.0, min(n, 50) + 1)
+            reference = math.log(n) - r * np.log(r) + (r - 1.0) * np.log(r - 1.0)
+            assert cached[1 : r.size + 1] == pytest.approx(reference, rel=1e-12, abs=1e-12)
+            assert cached[0] == math.log(n)
 
 
 class TestPsi1:
