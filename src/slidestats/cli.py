@@ -35,11 +35,12 @@ from .harness import (
 from .numerics import Interval, integrate
 from .processes import process_kinds
 from .slide_stats import (
+    _ORACLE_TOL,
+    MAX_NUMERIC_ORDER,
+    _closed_forms,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
-    psi1,
-    psi2_conjectured,
     psi_numeric,
     slide_numbers,
     tangibility_check,
@@ -280,24 +281,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     max_n = 500 if args.full else 200
     failures: list[str] = []
 
-    worst1 = worst2 = 0.0
+    sequences = []
     for _ in range(count):
         n = int(rng.integers(2, max_n + 1))
-        d = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))[::-1]
-        worst1 = max(worst1, abs(psi1(d) - psi_numeric(d, 1).value))
-        worst2 = max(worst2, abs(psi2_conjectured(d) - psi_numeric(d, 2).value))
-    _check(
-        "psi1 closed form vs derivative oracle",
-        worst1 < 1e-6,
-        f"{count} sequences, worst gap {worst1:.3g}",
-        failures,
-    )
-    _check(
-        "psi2 conjecture vs derivative oracle",
-        worst2 < 1e-4,
-        f"{count} sequences, worst gap {worst2:.3g}",
-        failures,
-    )
+        sequences.append(np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))[::-1])
+    for order in range(1, MAX_NUMERIC_ORDER + 1):
+        worst = max(
+            abs(_closed_forms(d, order)[order - 1] - psi_numeric(d, order).value)
+            for d in sequences
+        )
+        _check(
+            f"slide order {order} closed form vs derivative oracle",
+            worst < _ORACLE_TOL[order],
+            f"{count} sequences, worst gap {worst:.3g}",
+            failures,
+        )
 
     worst = 0.0
     for name, params in (

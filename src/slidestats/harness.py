@@ -287,14 +287,6 @@ def _int_keys(mapping: dict[str, Any] | None) -> dict[int, Any] | None:
     return None if mapping is None else {int(k): v for k, v in mapping.items()}
 
 
-def _method(kind: str, order: int) -> str:
-    if kind == "level" or order == 1:
-        return "closed_form"
-    if order == 2:
-        return "conjectured_closed_form"
-    return "numeric_oracle"
-
-
 def _point_statistics(config: ExperimentConfig, points: PointSet) -> dict[str, float]:
     values: dict[str, float] = {}
     for request in config.statistics:
@@ -387,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 order: aggregates[slide_request.key(order)].mean
                 for order in slide_request.orders
             },
-            {order: _method("slide", order) for order in slide_request.orders},
+            {order: "closed_form" for order in slide_request.orders},
         )
         estimates = dimension_estimates(mean_report)
         if slide_request.orders[0] == 1 and len(slide_request.orders) > 1:
@@ -471,7 +463,7 @@ def _render_csv(reports: Sequence[ExperimentReport]) -> str:
                 agg = report.aggregates.get(request.key(order))
                 if agg is None:
                     writer.writerow(
-                        [label, request.kind, order, _method(request.kind, order), 0, "", ""]
+                        [label, request.kind, order, "closed_form", 0, "", ""]
                     )
                     continue
                 writer.writerow(
@@ -479,7 +471,7 @@ def _render_csv(reports: Sequence[ExperimentReport]) -> str:
                         label,
                         request.kind,
                         order,
-                        _method(request.kind, order),
+                        "closed_form",
                         agg.count,
                         repr(agg.mean),
                         "" if agg.sd is None else repr(agg.sd),

@@ -6,10 +6,11 @@ assembly numbers use all pairwise distances instead, and level numbers
 differentiate along the level family ``t f + (1 - t)``, where duplicate
 points (zero distances) are legal.
 
-Order 1 has a proven closed form.  Order 2 ships as a conjectured closed
-form and is therefore cross-checked against the numerical differentiation
-oracle by default; reports record both the value and the gap.  Orders 3 and
-4 come from the oracle alone, with its error estimate.
+Orders 1 to 4 come from one closed-form pass over the distances: the
+derivatives of the slide function at 0 are cumulants of the log distances
+tilted by the rank weights.  The paper derives order 1 only, so every order
+from 2 on is cross-checked against the numerical differentiation oracle by
+default, and reports record the gap.
 
 All closed forms are arranged in terms of distance ratios, so scaling every
 distance by a positive constant leaves the results unchanged to rounding.
@@ -79,17 +80,46 @@ def _rank_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _closed_forms(distances: Any) -> tuple[float, float]:
-    """``(psi1, psi2_conjectured)`` from one pass over ``ln(d_r / d_n)``."""
+def _closed_forms(distances: Any, max_order: int = 2) -> tuple[float, ...]:
+    """Slide derivatives of orders ``1..max(2, max_order)`` in one pass.
+
+    Over ``ell_r = ln(d_r / d_n)`` and the rank weights ``c_r``, the slide
+    function is ``sigma(t) = E_t[c] - t K'(t) + K(t)``, with
+    ``K(t) = ln mean(e^{t ell})`` and ``E_t`` the mean tilted by
+    ``e^{t ell}``, so its k-th derivative at 0 is the joint cumulant of
+    ``(ell, ..., ell, c)`` minus ``(k - 1) kappa_k(ell)``.  Orders 1 and 2
+    are those of :func:`psi1` and :func:`psi2_conjectured`.  Orders 3 and 4,
+    computed only when asked for, use the centred logs ``x = ell - mean(ell)``
+    with ``m_j = mean(x^j)`` and ``e_j = mean(x^j c)``: they are
+    ``e_3 - 3 m_2 e_1 - 2 m_3`` and
+    ``e_4 - 4 e_1 m_3 - 6 m_2 e_2 - 3 (m_4 - 3 m_2^2)``.
+    """
     d = as_descending(distances, min_size=2, positive=True).values
     n = d.size
+    c = _rank_weights(n)
     ell = np.log(d / d[-1])  # ell[-1] == 0 exactly
-    c_ell = _rank_weights(n) * ell
+    c_ell = c * ell
     a = float(c_ell.sum())
     b = float(np.dot(c_ell, ell))
     s1 = float(ell.sum())
     s2 = float(np.dot(ell, ell))
-    return a / n, -(2.0 * s1 * a - n * b + n * s2 - s1 * s1) / (n * n)
+    out = [a / n, -(2.0 * s1 * a - n * b + n * s2 - s1 * s1) / (n * n)]
+    if max_order >= 3:
+        # ell and c_ell are spent; their buffers take x and x^2.
+        x = np.subtract(ell, s1 / n, out=ell)
+        x2 = np.multiply(x, x, out=c_ell)
+        cx2 = c * x2
+        e1 = float(np.dot(c, x)) / n
+        e2 = float(cx2.sum()) / n
+        e3 = float(np.dot(cx2, x)) / n
+        m2 = float(x2.sum()) / n
+        m3 = float(np.dot(x2, x)) / n
+        out.append(e3 - 3.0 * m2 * e1 - 2.0 * m3)
+        if max_order >= 4:
+            e4 = float(np.dot(cx2, x2)) / n
+            m4 = float(np.dot(x2, x2)) / n
+            out.append(e4 - 4.0 * e1 * m3 - 6.0 * m2 * e2 - 3.0 * (m4 - 3.0 * m2 * m2))
+    return tuple(out)
 
 
 def psi1(distances: Any) -> float:
@@ -105,15 +135,16 @@ def psi1(distances: Any) -> float:
 
 
 def psi2_conjectured(distances: Any) -> float:
-    """Second slide derivative via the conjectured closed form.
+    """Second slide derivative of the step density of ``distances``, in closed form.
 
     With ``ell_r = ln(d_r / d_n)`` and the weights ``c_r`` of :func:`psi1`,
     it is ``-(2 S1 A - n B + n S2 - S1^2) / n^2``, where ``A, B`` are the
     sums of ``c_r ell_r, c_r ell_r^2`` and ``S1, S2`` those of
     ``ell_r, ell_r^2``; summation by parts of the raw-log-sum form gives it,
-    without that form's large cancelling terms.  Pair with
-    :func:`psi_numeric` (as :func:`slide_numbers` does by default) to keep
-    the conjecture honest on real data.
+    without that form's large cancelling terms.  It is order 2 of the one
+    closed-form route that :func:`slide_numbers` takes at orders 1 to 4.
+    The paper derives order 1 only, hence the name; :func:`slide_numbers`
+    checks every order from 2 on against :func:`psi_numeric` by default.
     """
     return _closed_forms(distances)[1]
 
@@ -170,10 +201,10 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
 class SlideReport:
     """Computed statistics for one distance extraction of one point set.
 
-    ``values`` maps order to the statistic; ``method`` records how each was
-    obtained (closed_form, conjectured_closed_form, or numeric_oracle);
-    ``oracle_error`` holds the conjecture-vs-oracle gap at order 2 and the
-    oracle's own error estimate at orders computed numerically.
+    ``values`` maps order to the statistic and ``method`` records how each
+    was obtained (``closed_form`` at every order); ``oracle_error`` holds,
+    per cross-checked order, the gap between the closed form and the
+    differentiation oracle.
     """
 
     orders: list[int]
@@ -199,30 +230,17 @@ def _slide_report(
     if wanted[0] < 1:
         raise ValueError("orders must be positive")
     if wanted[-1] > MAX_NUMERIC_ORDER:
-        raise ValueError(
-            f"orders above {MAX_NUMERIC_ORDER} have neither a closed form "
-            "nor a numeric route"
-        )
-    values: dict[int, float] = {}
-    method: dict[int, str] = {}
-    oracle_error: dict[int, float] = {}
-    closed = _closed_forms(d) if wanted[0] <= 2 else None
-    for order in wanted:
-        if order == 1:
-            values[order] = closed[0]
-            method[order] = "closed_form"
-        elif order == 2:
-            values[order] = closed[1]
-            method[order] = "conjectured_closed_form"
-            if cross_check:
-                est = psi_numeric(d, 2)
-                oracle_error[order] = abs(values[order] - est.value)
-        else:
-            est = psi_numeric(d, order)
-            values[order] = est.value
-            method[order] = "numeric_oracle"
-            oracle_error[order] = est.error
-    return SlideReport(wanted, values, method, oracle_error)
+        raise ValueError(f"orders above {MAX_NUMERIC_ORDER} have no closed form")
+    closed = _closed_forms(d, wanted[-1])
+    values = {order: closed[order - 1] for order in wanted}
+    oracle_error = {
+        order: abs(values[order] - psi_numeric(d, order).value)
+        for order in wanted
+        if cross_check and order >= 2
+    }
+    return SlideReport(
+        wanted, values, {order: "closed_form" for order in wanted}, oracle_error
+    )
 
 
 def slide_numbers(
@@ -232,9 +250,10 @@ def slide_numbers(
 ) -> SlideReport:
     """Slide numbers of a point set from its nearest-neighbour distances.
 
-    Requires at least two pairwise distinct points.  With ``cross_check``
-    (the default) the order-2 conjectured value is compared against the
-    differentiation oracle and the gap recorded in ``oracle_error``.
+    Requires at least two pairwise distinct points.  Every order comes from
+    the closed forms; with ``cross_check`` (the default) each order from 2
+    on is also estimated by the differentiation oracle and the gap recorded
+    in ``oracle_error``.
     """
     return _slide_report(nn_distances(points), orders, cross_check)
 

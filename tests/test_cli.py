@@ -172,7 +172,7 @@ class TestValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 5
+        assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
 
