@@ -3,14 +3,16 @@
 Four subcommands: ``stats`` computes statistics of a point set stored in a
 file, ``simulate`` runs a seeded replication experiment, ``validate`` runs
 the built-in oracle cross-checks, and ``entropy`` evaluates a catalog
-density.  Exit codes: 0 success, 1 failed validation, 2 bad configuration,
-3 unparseable input, 4 divergent integral.
+density.  Exit codes: 0 success, 1 failed validation, 2 bad configuration
+or input (coinciding points included), 3 unparseable input, 4 divergent
+integral, 141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -24,7 +26,7 @@ from .corner_density import (
     neg_log_slide,
     slide_function,
 )
-from .errors import ConfigError, DivergenceError, ParseError
+from .errors import ConfigError, DivergenceError, DuplicatePointError, ParseError
 from .geometry import PAIRWISE_CAP
 from .harness import (
     ExperimentConfig,
@@ -34,19 +36,21 @@ from .harness import (
 )
 from .numerics import Interval, integrate
 from .processes import process_kinds
-from .slide_stats import (
+# slide_numbers, assembly_numbers and level_numbers are no longer called here,
+# but perfbench/run.py hooks these module attributes.
+from .slide_stats import (  # noqa: F401
     _ORACLE_TOL,
     MAX_NUMERIC_ORDER,
     _closed_forms,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
+    point_statistics,
     psi_numeric,
     slide_numbers,
+    statistic_kind,
     tangibility_check,
 )
-
-_STAT_CHOICES = ("slide", "assembly", "level")
 
 
 def _parse_value(text: str) -> Any:
@@ -81,10 +85,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 def _parse_kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(part.strip() for part in text.split(",") if part.strip())
     for kind in kinds:
-        if kind not in _STAT_CHOICES:
-            raise ConfigError(
-                f"unknown statistic {kind!r}; choose from {list(_STAT_CHOICES)}"
-            )
+        statistic_kind(kind)
     if not kinds:
         raise ConfigError("at least one statistic kind is required")
     return kinds
@@ -111,18 +112,13 @@ def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
         "dimension": points.dimension,
         "statistics": {},
     }
-    for kind in kinds:
-        if kind == "slide":
-            report = slide_numbers(points, orders, cross_check=not args.no_cross_check)
-        elif kind == "assembly":
-            report = assembly_numbers(
-                points,
-                orders,
-                cross_check=not args.no_cross_check,
-                max_points=args.pairwise_cap,
-            )
-        else:
-            report = level_numbers(points, max_order=max(orders))
+    reports = point_statistics(
+        points,
+        dict.fromkeys(kinds, orders),
+        cross_check=not args.no_cross_check,
+        pairwise_cap=args.pairwise_cap,
+    )
+    for kind, report in reports.items():
         payload["statistics"][kind] = {
             "values": {str(o): report.values[o] for o in report.orders},
             "method": {str(o): report.method[o] for o in report.orders},
@@ -148,13 +144,13 @@ def _stats_text(payload: dict[str, Any]) -> str:
         f"{payload['source']}: {payload['points']} points, "
         f"dimension {payload['dimension']}"
     ]
-    symbol = {"slide": "rho", "assembly": "alpha", "level": "lambda"}
     for kind, block in payload["statistics"].items():
+        symbol = statistic_kind(kind).symbol
         for order, value in block["values"].items():
             gap = block["oracle_error"].get(order)
             suffix = f"  (oracle gap {gap:.3g})" if gap is not None else ""
             lines.append(
-                f"  {symbol[kind]}_{order} = {value: .6f}  "
+                f"  {symbol}_{order} = {value: .6f}  "
                 f"[{block['method'][order]}]{suffix}"
             )
     estimates = payload.get("dimension_estimates")
@@ -449,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -459,7 +457,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except BrokenPipeError:
+        # The reader is gone: say nothing, and send what stdout still buffers
+        # to devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except (DuplicatePointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ __all__ = [
     "PointSet",
     "as_descending",
     "consecutive_gaps",
+    "distinct_nearest",
     "nn_distances",
     "pairwise_distances",
 ]
@@ -107,6 +108,11 @@ class DescendingDistances:
             raise ValueError("distances must be finite")
         if values[-1] < 0.0:
             raise ValueError("distances must be nonnegative")
+        return cls._checked(values, origin)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, origin: str) -> "DescendingDistances":
+        """Wrap sorted, finite, nonnegative ``values`` after the origin check."""
         out = cls.__new__(cls)
         out.values = values
         out.origin = origin
@@ -283,14 +289,23 @@ def nn_distances(
         nearest = _nn_euclidean_1d(points.coords)
     else:
         nearest = _nn_euclidean_tree(points.coords)
-    if allow_duplicates:
-        return DescendingDistances._from_owned(nearest, "raw")
-    return DescendingDistances._from_owned(
-        nearest,
-        "nearest_neighbor",
-        "point set contains coinciding points; nearest-neighbour "
-        "distances require distinct points",
-    )
+    raw = DescendingDistances._from_owned(nearest, "raw")
+    return raw if allow_duplicates else distinct_nearest(raw)
+
+
+def distinct_nearest(raw: DescendingDistances) -> DescendingDistances:
+    """Raw nearest-neighbour distances as distinct-point ones, sharing the array.
+
+    A zero distance raises :class:`DuplicatePointError`.  The statistics
+    that need distinct points and those that allow duplicates can so share
+    one extraction.
+    """
+    if not raw.values[-1] > 0.0:
+        raise DuplicatePointError(
+            "point set contains coinciding points; nearest-neighbour "
+            "distances require distinct points"
+        )
+    return DescendingDistances._checked(raw.values, "nearest_neighbor")
 
 
 def pairwise_distances(

@@ -20,9 +20,9 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,15 +30,18 @@ from . import __version__
 from .errors import ConfigError, DuplicatePointError, ParseError
 from .geometry import PAIRWISE_CAP, PointSet
 from .processes import GENERATOR_NAME, ProcessSpec, generate, substream
-from .slide_stats import (
-    MAX_NUMERIC_ORDER,
+# slide_numbers, assembly_numbers and level_numbers are no longer called here,
+# but perfbench/run.py hooks these module attributes.
+from .slide_stats import (  # noqa: F401
     SlideReport,
     TangibilityVerdict,
     _rank_weights,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
+    point_statistics,
     slide_numbers,
+    statistic_kind,
     tangibility_check,
 )
 
@@ -59,9 +62,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_STAT_KINDS = ("slide", "assembly", "level")
-_STAT_SYMBOL = {"slide": "rho", "assembly": "alpha", "level": "lambda"}
 
 _MAX_ATTEMPTS = 4  # initial draw plus three retries
 _ATTEMPT_STRIDE = 2**32  # retry substreams must never collide with replicates
@@ -85,11 +85,7 @@ class StatisticRequest:
     orders: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
-        if self.kind not in _STAT_KINDS:
-            raise ConfigError(
-                f"unknown statistic kind {self.kind!r}; "
-                f"choose from {list(_STAT_KINDS)}"
-            )
+        max_order = statistic_kind(self.kind).max_order
         if not isinstance(self.orders, (list, tuple)):
             raise ConfigError(
                 f"orders must be an array of integers, got {self.orders!r}"
@@ -102,9 +98,9 @@ class StatisticRequest:
             raise ConfigError("orders must be distinct")
         if orders[0] < 1:
             raise ConfigError("orders must be positive")
-        if self.kind != "level" and orders[-1] > MAX_NUMERIC_ORDER:
+        if max_order is not None and orders[-1] > max_order:
             raise ConfigError(
-                f"{self.kind} orders above {MAX_NUMERIC_ORDER} are not computable"
+                f"{self.kind} orders above {max_order} are not computable"
             )
 
     def key(self, order: int) -> str:
@@ -288,21 +284,15 @@ def _int_keys(mapping: dict[str, Any] | None) -> dict[int, Any] | None:
 
 
 def _point_statistics(config: ExperimentConfig, points: PointSet) -> dict[str, float]:
+    reports = point_statistics(
+        points,
+        {request.kind: request.orders for request in config.statistics},
+        cross_check=config.cross_check,
+        pairwise_cap=config.pairwise_cap,
+    )
     values: dict[str, float] = {}
     for request in config.statistics:
-        if request.kind == "slide":
-            report = slide_numbers(
-                points, orders=request.orders, cross_check=config.cross_check
-            )
-        elif request.kind == "assembly":
-            report = assembly_numbers(
-                points,
-                orders=request.orders,
-                cross_check=config.cross_check,
-                max_points=config.pairwise_cap,
-            )
-        else:
-            report = level_numbers(points, max_order=request.orders[-1])
+        report = reports[request.kind]
         for order in request.orders:
             values[request.key(order)] = report.values[order]
             if order in report.oracle_error:
@@ -487,11 +477,12 @@ def format_table(reports: Sequence[ExperimentReport]) -> str:
     for report in reports:
         label = _process_label(report.config.process)
         for request in report.config.statistics:
+            symbol = statistic_kind(request.kind).symbol
             for order in request.orders:
                 agg = report.aggregates.get(request.key(order))
                 if agg is None:
                     rows.append(
-                        (label, _STAT_SYMBOL[request.kind], str(order), "0",
+                        (label, symbol, str(order), "0",
                          "all replicates failed", "", "")
                     )
                     continue
@@ -501,7 +492,7 @@ def format_table(reports: Sequence[ExperimentReport]) -> str:
                 rows.append(
                     (
                         label,
-                        _STAT_SYMBOL[request.kind],
+                        symbol,
                         str(order),
                         str(agg.count),
                         f"{agg.mean:.6f}",
@@ -545,8 +536,9 @@ def load_points(path: str | Path, format: str | None = None) -> PointSet:
     """Read a point set from a CSV or JSON file.
 
     CSV holds one point per line, coordinates comma separated; one header
-    line is tolerated and ``#`` or blank lines are skipped.  JSON holds an
-    array of numbers (one dimension) or of equal-length coordinate arrays.
+    line is tolerated and ``#`` or blank lines are skipped; the lines are
+    streamed into ``np.loadtxt``, never held as a list.  JSON holds an array
+    of numbers (one dimension) or of equal-length coordinate arrays.
     Malformed input raises :class:`ParseError` naming the offending line.
     """
     p = Path(path)
@@ -572,46 +564,73 @@ def load_points(path: str | Path, format: str | None = None) -> PointSet:
 
 
 def _parse_csv_points(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    header_seen = False
     try:
         handle = open(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [cell.strip() for cell in line.split(",")]
-            row: list[float] = []
-            bad = None
-            for cell in cells:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    bad = cell
-                    break
+        rows = _csv_rows(handle, path)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows")
+        try:
+            return np.loadtxt(
+                chain((first,), rows), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            error = exc
+    # loadtxt names the row among the data rows only; find the file line.
+    with open(path) as handle:
+        for _ in _csv_rows(handle, path, check_cells=True):
+            pass
+    raise ParseError(f"{path}: {error}") from error
+
+
+def _csv_rows(
+    handle: Iterable[str], path: Path, check_cells: bool = False
+) -> Iterator[str]:
+    """The data lines of a points CSV, stripped, one at a time.
+
+    Blank and ``#`` lines are skipped, and so is one non-numeric line before
+    the first data row, as a header.  A row whose column count differs from
+    the first row's raises :class:`ParseError` naming its line.  Cells are
+    checked only on header candidates, ragged rows, and with ``check_cells``;
+    otherwise they are left to ``np.loadtxt``.
+    """
+    width = None
+    header_seen = False
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        columns = line.count(",") + 1
+        if columns != width or check_cells:  # width is None before the first row
+            bad = _non_numeric_cell(line)
             if bad is not None:
-                # one non-numeric line is fine if nothing parsed yet: a header
-                if not rows and not header_seen:
+                if width is None and not header_seen:
                     header_seen = True
                     continue
-                raise ParseError(
-                    f"{path}: line {lineno}: non-numeric value {bad!r}"
-                )
+                raise ParseError(f"{path}: line {lineno}: non-numeric value {bad!r}")
             if width is None:
-                width = len(row)
-            elif len(row) != width:
+                width = columns
+            elif columns != width:
                 raise ParseError(
-                    f"{path}: line {lineno}: expected {width} columns, "
-                    f"found {len(row)}"
+                    f"{path}: line {lineno}: expected {width} columns, found {columns}"
                 )
-            rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+        yield line
+
+
+def _non_numeric_cell(line: str) -> str | None:
+    """The first cell of a CSV line that ``np.loadtxt`` cannot read as a float."""
+    for cell in line.split(","):
+        cell = cell.strip()
+        try:
+            float(cell)
+        except ValueError:
+            return cell
+        if not cell.isascii() or "_" in cell:  # float() reads these, loadtxt not
+            return cell
+    return None
 
 
 def _parse_json_points(path: Path) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -32,28 +32,33 @@ from .corner_density import (  # noqa: F401
     neg_log_derivative,
     step_slide_function,
 )
-from .errors import DuplicatePointError
+from .errors import ConfigError, DuplicatePointError
 from .geometry import (
     PAIRWISE_CAP,
     DescendingDistances,
     PointSet,
     as_descending,
+    distinct_nearest,
     nn_distances,
     pairwise_distances,
 )
 from .numerics import DerivativeEstimate, right_derivatives
 
 __all__ = [
+    "STATISTIC_KINDS",
     "SlideReport",
+    "StatisticKind",
     "TangibilityVerdict",
     "assembly_numbers",
     "dimension_estimates",
     "level_derivatives",
     "level_numbers",
+    "point_statistics",
     "psi1",
     "psi2_conjectured",
     "psi_numeric",
     "slide_numbers",
+    "statistic_kind",
     "tangibility_check",
 ]
 
@@ -243,6 +248,30 @@ def _slide_report(
     )
 
 
+def _distinct_slide_report(
+    d: DescendingDistances, orders: Iterable[int], cross_check: bool
+) -> SlideReport:
+    return _slide_report(distinct_nearest(d), orders, cross_check)
+
+
+def _level_report(
+    d: DescendingDistances, orders: Iterable[int], cross_check: bool = False
+) -> SlideReport:
+    """Level numbers of every order up to the highest of ``orders``.
+
+    The level family has no oracle, so ``cross_check`` is ignored.
+    """
+    if d.values[0] <= 0.0:
+        raise DuplicatePointError("every point coincides with another")
+    values = level_derivatives(d, max(orders))
+    every = list(range(1, len(values) + 1))
+    return SlideReport(
+        every,
+        {order: values[order - 1] for order in every},
+        {order: "closed_form" for order in every},
+    )
+
+
 def slide_numbers(
     points: PointSet,
     orders: Iterable[int] = (1, 2),
@@ -272,16 +301,70 @@ def assembly_numbers(
 
 def level_numbers(points: PointSet, max_order: int = 2) -> SlideReport:
     """Level numbers of a point set; duplicate points are permitted."""
-    d = nn_distances(points, allow_duplicates=True)
-    if d.values[0] <= 0.0:
-        raise DuplicatePointError("every point coincides with another")
-    values = level_derivatives(d, max_order)
-    orders = list(range(1, max_order + 1))
-    return SlideReport(
-        orders,
-        {order: values[order - 1] for order in orders},
-        {order: "closed_form" for order in orders},
-    )
+    return _level_report(nn_distances(points, allow_duplicates=True), (max_order,))
+
+
+@dataclass(frozen=True)
+class StatisticKind:
+    """One family of statistics of a point set.
+
+    ``extraction`` names the distances it is computed from
+    (``nearest_neighbor``, taken with duplicates allowed, or ``pairwise``);
+    ``report`` turns them into a :class:`SlideReport` given the orders and
+    the cross-check flag; ``max_order`` bounds the orders, None for no bound.
+    """
+
+    symbol: str
+    extraction: str
+    report: Callable[[DescendingDistances, Iterable[int], bool], SlideReport]
+    max_order: int | None = MAX_NUMERIC_ORDER
+
+
+STATISTIC_KINDS: dict[str, StatisticKind] = {
+    "slide": StatisticKind("rho", "nearest_neighbor", _distinct_slide_report),
+    "assembly": StatisticKind("alpha", "pairwise", _slide_report),
+    "level": StatisticKind("lambda", "nearest_neighbor", _level_report, None),
+}
+
+
+def statistic_kind(name: str) -> StatisticKind:
+    """The registered kind called ``name``; an unknown name is a ConfigError."""
+    try:
+        return STATISTIC_KINDS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown statistic kind {name!r}; choose from {list(STATISTIC_KINDS)}"
+        ) from None
+
+
+def point_statistics(
+    points: PointSet,
+    requests: Mapping[str, Iterable[int]],
+    cross_check: bool = True,
+    pairwise_cap: int = PAIRWISE_CAP,
+) -> dict[str, SlideReport]:
+    """Reports for several statistic kinds of one point set, keyed by kind.
+
+    ``requests`` maps each kind to its orders.  Kinds are computed in
+    request order, and each extraction is made when a kind first needs it
+    and shared by the kinds after it: slide and level read one array of
+    nearest-neighbour distances, so a coinciding point fails at slide, after
+    any level request before it.  Nothing is kept between calls.  Every
+    value is bit-identical to the one the kind's own function returns.
+    """
+    extracted: dict[str, DescendingDistances] = {}
+    reports: dict[str, SlideReport] = {}
+    for name, orders in requests.items():
+        kind = statistic_kind(name)
+        d = extracted.get(kind.extraction)
+        if d is None:
+            if kind.extraction == "pairwise":
+                d = pairwise_distances(points, max_points=pairwise_cap)
+            else:
+                d = nn_distances(points, allow_duplicates=True)
+            extracted[kind.extraction] = d
+        reports[name] = kind.report(d, orders, cross_check)
+    return reports
 
 
 def dimension_estimates(report: SlideReport) -> dict[int, float | None]:

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slidestats
+from slidestats import slide_stats
 from slidestats.cli import main
 
 
@@ -13,6 +19,13 @@ def square_file(tmp_path):
     path = tmp_path / "square.csv"
     lines = [f"{0.1 * i},{0.1 * j}" for i in range(6) for j in range(6)]
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def dup_file(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("0,0\n0,0\n1,1\n")
     return str(path)
 
 
@@ -52,6 +65,58 @@ class TestStats:
 
     def test_bad_stat_kind(self, square_file, capsys):
         assert main(["stats", square_file, "--stat", "magic"]) == 2
+
+    @pytest.mark.parametrize("kinds", ["slide", "level,slide", "slide,level"])
+    def test_duplicate_points_are_bad_input(self, dup_file, capsys, kinds):
+        assert main(["stats", dup_file, "--stat", kinds]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: point set contains coinciding points; "
+            "nearest-neighbour distances require distinct points\n"
+        )
+        assert captured.out == ""
+
+    def test_duplicate_points_allowed_for_level(self, dup_file, capsys):
+        assert main(["stats", dup_file, "--stat", "level"]) == 0
+        assert "lambda_1" in capsys.readouterr().out
+
+    def test_slide_and_level_share_one_extraction(
+        self, square_file, monkeypatch, capsys
+    ):
+        calls = []
+        original = slide_stats.nn_distances
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(slide_stats, "nn_distances", counting)
+        assert main(["stats", square_file, "--stat", "slide,level"]) == 0
+        assert calls == [{"allow_duplicates": True}]
+        out = capsys.readouterr().out
+        assert "rho_1" in out and "lambda_1" in out
+
+
+def test_closed_pipe_exits_quietly_with_141():
+    # The reader closes its end before the command writes anything.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(slidestats.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slidestats.cli", "entropy", "uniform"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 class TestSimulate:

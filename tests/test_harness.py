@@ -2,9 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidestats import (
     Aggregate,
@@ -409,6 +413,135 @@ class TestLoadPoints:
         path.write_text("1.0\nnan\n")
         with pytest.raises(ParseError):
             load_points(path)
+
+
+def write_csv(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    return path
+
+
+class TestCsvEdgeCases:
+    """The streaming CSV reader keeps the line-by-line parser's rules."""
+
+    def test_whitespace_lines_and_indented_comments(self, tmp_path):
+        path = write_csv(
+            tmp_path, "   \n\t\n  # indented comment\n0.0,1.0\n \n  2.0 , 3.0  \r\n"
+        )
+        assert load_points(path).coords.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_header_after_leading_comments(self, tmp_path):
+        path = write_csv(tmp_path, "# made by hand\n\n# units: m\nx,y\n0.5,1.5\n2,3\n")
+        assert load_points(path).coords.tolist() == [[0.5, 1.5], [2.0, 3.0]]
+
+    def test_second_non_numeric_line_names_its_line(self, tmp_path):
+        path = write_csv(tmp_path, "# comment\nx,y\n\nunits,metres\n0,1\n")
+        with pytest.raises(ParseError, match=r"line 4: non-numeric value 'units'"):
+            load_points(path)
+
+    def test_bad_value_far_down_names_its_file_line(self, tmp_path):
+        rows = [f"{i},{i + 0.5}" for i in range(3000)]
+        rows[2500] = "2500,oops"
+        text = "x,y\n# every data row is followed by a comment\n"
+        text += "".join(f"{row}\n# row\n" for row in rows)
+        path = write_csv(tmp_path, text)
+        with pytest.raises(ParseError, match=r"line 5003: non-numeric value 'oops'"):
+            load_points(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1\n2,3\n4\n", r"line 3: expected 2 columns, found 1"),
+            ("0,1\n2,3,4\n", r"line 2: expected 2 columns, found 3"),
+            ("0\n1\n\n2,3\n", r"line 4: expected 1 columns, found 2"),
+            # a cell that is not a number is named before the column count
+            ("0,1\nx\n", r"line 2: non-numeric value 'x'"),
+        ],
+    )
+    def test_ragged_rows(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_points(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the first line's empty cell makes it the header
+            ("0,1,\n2,3,\n", r"line 2: non-numeric value ''"),
+            ("0,1\n2,3,\n", r"line 2: non-numeric value ''"),
+        ],
+    )
+    def test_trailing_comma(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_points(write_csv(tmp_path, text))
+
+    def test_single_row(self, tmp_path):
+        points = load_points(write_csv(tmp_path, "x,y,z\n0.25,0.5,1e3\n"))
+        assert points.coords.tolist() == [[0.25, 0.5, 1000.0]]
+
+    def test_single_column(self, tmp_path):
+        points = load_points(write_csv(tmp_path, "x\n1\n-2.5\n4\n"))
+        assert points.coords.shape == (3, 1)
+        assert points.coords[:, 0].tolist() == [1.0, -2.5, 4.0]
+
+    def test_nan_in_a_row(self, tmp_path):
+        with pytest.raises(ParseError, match="finite"):
+            load_points(write_csv(tmp_path, "0,1\nnan,2\n"))
+
+    def test_underscore_digits_are_not_numbers(self, tmp_path):
+        # float() reads '1_0' as 10; np.loadtxt does not, and neither does the reader
+        with pytest.raises(ParseError, match=r"line 2: non-numeric value '1_0'"):
+            load_points(write_csv(tmp_path, "0,1\n1_0,2\n"))
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# only a comment\n", "x,y\n# no rows\n"]
+    )
+    def test_no_data_rows_without_warning(self, tmp_path, text):
+        # pytest turns warnings into errors, so loadtxt's empty-input warning
+        # would fail this test
+        with pytest.raises(ParseError, match="no data rows"):
+            load_points(write_csv(tmp_path, text))
+
+    def test_lines_are_streamed(self, tmp_path):
+        rows = np.random.default_rng(0).random((50_000, 2))
+        path = tmp_path / "pts.csv"
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            parsed = harness._parse_csv_points(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A list of the 50,000 lines alone would take about 5 MB.
+        assert peak < 2 * parsed.nbytes
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        rows=st.integers(1, 40).flatmap(
+            lambda width: st.lists(
+                st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
+                min_size=1,
+                max_size=30,
+            )
+        ),
+        style=st.sampled_from(["repr", "%.17g"]),
+        padding=st.sampled_from(["", " ", "\t"]),
+    )
+    def test_values_match_float_bit_for_bit(
+        self, tmp_path_factory, rows, style, padding
+    ):
+        def cell(value):
+            text = repr(value) if style == "repr" else "%.17g" % value
+            return padding + text + padding
+
+        path = tmp_path_factory.mktemp("csv") / "pts.csv"
+        lines = [",".join(cell(value) for value in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array(
+            [[float(text) for text in line.split(",")] for line in lines]
+        )
+        parsed = harness._parse_csv_points(path)
+        assert parsed.shape == expected.shape
+        assert parsed.tobytes() == expected.tobytes()
 
 
 class TestReportFromDict:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slidestats import (
+    ConfigError,
     DescendingDistances,
     DuplicatePointError,
     PointSet,
@@ -20,6 +21,7 @@ from slidestats import (
     level_numbers,
     neg_log_derivative,
     nn_distances,
+    point_statistics,
     psi1,
     psi2_conjectured,
     psi_numeric,
@@ -29,7 +31,13 @@ from slidestats import (
     zeta_int,
 )
 from slidestats import slide_stats
-from slidestats.slide_stats import _ORACLE_TOL, _closed_forms, _rank_weights
+from slidestats.slide_stats import (
+    _ORACLE_TOL,
+    STATISTIC_KINDS,
+    _closed_forms,
+    _rank_weights,
+    statistic_kind,
+)
 from conftest import random_descending
 
 LN2 = math.log(2.0)
@@ -544,6 +552,152 @@ class TestInvariance:
                 PointSet.from_coords(rng.permutation(coords)), orders, cross_check=False
             )
             assert shuffled.values == base.values
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 60),
+        dim=st.integers(1, 3),
+        power=st.sampled_from([1.0, 3.0]),
+        duplicates=st.integers(0, 2),
+    )
+    def test_level_scale_and_permutation(self, seed, k, dim, power, duplicates):
+        rng = np.random.default_rng(seed)
+        coords = rng.random((k, dim)) ** power
+        coords = np.concatenate((coords, coords[:duplicates]))  # legal for level
+        base = level_numbers(PointSet.from_coords(coords), 4)
+        # The terms of each order may cancel.  A relative error e in every
+        # ratio r = d / mean(d) moves order 1, mean(c r), by up to
+        # e mean(|c| r) and order k, -mean((1 - r)^k), by up to
+        # e k mean(|1 - r|^(k-1) r); e = 1e-9 is the bound used for rho.
+        ratio = nn_distances(PointSet.from_coords(coords), True).values
+        ratio = ratio / ratio.mean()
+        moved = {1: np.mean(np.abs(_rank_weights(ratio.size)) * ratio)}
+        for order in (2, 3, 4):
+            moved[order] = order * np.mean(np.abs(1.0 - ratio) ** (order - 1) * ratio)
+        for scale in (0.5, 3.0, 100.0):
+            scaled = level_numbers(PointSet.from_coords(scale * coords), 4)
+            for order, value in base.values.items():
+                assert scaled.values[order] == pytest.approx(
+                    value, rel=1e-9, abs=1e-9 * moved[order]
+                )
+        shuffled = level_numbers(PointSet.from_coords(rng.permutation(coords)), 4)
+        assert shuffled.values == base.values
+
+
+def euclidean(a, b):
+    return math.dist(a, b)
+
+
+class TestPointStatistics:
+    """One extraction per point set, bit-identical to one call per kind."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 40),
+        space=st.sampled_from(["1-d", "2-d", "3-d", "metric"]),
+        kinds=st.sampled_from([("slide", "level"), ("slide", "level", "assembly")])
+        .flatmap(st.permutations),
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+        cross_check=st.booleans(),
+    )
+    def test_shared_matches_separate(self, seed, k, space, kinds, orders, cross_check):
+        rng = np.random.default_rng(seed)
+        if space == "metric":
+            points = PointSet.from_elements(list(rng.random((k, 2))), euclidean)
+        else:
+            points = PointSet.from_coords(rng.random((k, int(space[0]))) ** 3)
+        orders = tuple(orders)
+        shared = point_statistics(
+            points, dict.fromkeys(kinds, orders), cross_check=cross_check
+        )
+        separate = {
+            "slide": slide_numbers(points, orders, cross_check),
+            "level": level_numbers(points, max(orders)),
+            "assembly": assembly_numbers(points, orders, cross_check),
+        }
+        assert list(shared) == list(kinds)
+        for kind, report in shared.items():
+            assert repr(report) == repr(separate[kind])  # repr round-trips floats
+
+    def count_extractions(self, monkeypatch):
+        calls = []
+        for name in ("nn_distances", "pairwise_distances"):
+            original = getattr(slide_stats, name)
+
+            def counting(*args, original=original, name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(slide_stats, name, counting)
+        return calls
+
+    def test_one_extraction_each_and_no_cache_across_calls(self, rng, monkeypatch):
+        calls = self.count_extractions(monkeypatch)
+        points = PointSet.from_coords(rng.random((50, 2)))
+        requests = {"slide": (1, 2), "assembly": (1,), "level": (1, 2)}
+        point_statistics(points, requests)
+        assert sorted(calls) == ["nn_distances", "pairwise_distances"]
+        point_statistics(points, requests)
+        assert sorted(calls) == ["nn_distances"] * 2 + ["pairwise_distances"] * 2
+
+    def test_extraction_is_lazy(self, rng, monkeypatch):
+        calls = self.count_extractions(monkeypatch)
+        points = PointSet.from_coords(rng.random((50, 2)))
+        point_statistics(points, {"level": (2,)})
+        assert calls == ["nn_distances"]
+
+    def test_slide_reads_the_shared_array(self, rng, monkeypatch):
+        seen = []
+        original = slide_stats._slide_report
+
+        def capturing(d, *args):
+            seen.append(d)
+            return original(d, *args)
+
+        monkeypatch.setattr(slide_stats, "_slide_report", capturing)
+        points = PointSet.from_coords(rng.random((50, 2)))
+        raw = nn_distances(points, allow_duplicates=True)
+        monkeypatch.setattr(slide_stats, "nn_distances", lambda *args, **kwargs: raw)
+        point_statistics(points, {"level": (1,), "slide": (1,)})
+        assert seen[0].values is raw.values
+        assert seen[0].origin == "nearest_neighbor"
+
+    def test_duplicates_fail_at_slide_after_level(self, monkeypatch):
+        levels = []
+        original = slide_stats.level_derivatives
+
+        def recording(*args):
+            levels.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(slide_stats, "level_derivatives", recording)
+        points = PointSet.from_coords([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DuplicatePointError, match="coinciding points"):
+            point_statistics(points, {"level": (1, 2), "slide": (1, 2)})
+        assert len(levels) == 1
+        with pytest.raises(DuplicatePointError, match="coinciding points"):
+            point_statistics(points, {"slide": (1, 2), "level": (1, 2)})
+        assert len(levels) == 1
+
+    def test_registry(self):
+        assert list(STATISTIC_KINDS) == ["slide", "assembly", "level"]
+        assert {k: (v.symbol, v.extraction) for k, v in STATISTIC_KINDS.items()} == {
+            "slide": ("rho", "nearest_neighbor"),
+            "assembly": ("alpha", "pairwise"),
+            "level": ("lambda", "nearest_neighbor"),
+        }
+        with pytest.raises(ConfigError, match="unknown statistic kind 'magic'"):
+            statistic_kind("magic")
+        points = PointSet.from_coords([[0.0], [1.0], [3.0]])
+        with pytest.raises(ConfigError):
+            point_statistics(points, {"magic": (1,)})
+
+    def test_pairwise_cap(self, rng):
+        points = PointSet.from_coords(rng.random((30, 2)))
+        with pytest.raises(ValueError, match="cap of 20"):
+            point_statistics(points, {"assembly": (1,)}, pairwise_cap=20)
 
 
 class TestDimension:
