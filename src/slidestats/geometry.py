@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+# Eager: forked pool workers inherit it; deferred, each k-d tree pool pays ~0.4 s.
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 

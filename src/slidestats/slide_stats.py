@@ -226,14 +226,19 @@ class SlideReport:
             )
 
 
-def _slide_report(
-    d: DescendingDistances, orders: Iterable[int], cross_check: bool
-) -> SlideReport:
+def _wanted_orders(orders: Iterable[int]) -> list[int]:
     wanted = sorted(set(int(o) for o in orders))
     if not wanted:
         raise ValueError("at least one order is required")
     if wanted[0] < 1:
         raise ValueError("orders must be positive")
+    return wanted
+
+
+def _slide_report(
+    d: DescendingDistances, orders: Iterable[int], cross_check: bool
+) -> SlideReport:
+    wanted = _wanted_orders(orders)
     if wanted[-1] > MAX_NUMERIC_ORDER:
         raise ValueError(f"orders above {MAX_NUMERIC_ORDER} have no closed form")
     closed = _closed_forms(d, wanted[-1])
@@ -257,18 +262,18 @@ def _distinct_slide_report(
 def _level_report(
     d: DescendingDistances, orders: Iterable[int], cross_check: bool = False
 ) -> SlideReport:
-    """Level numbers of every order up to the highest of ``orders``.
+    """Level numbers of the requested orders.
 
     The level family has no oracle, so ``cross_check`` is ignored.
     """
+    wanted = _wanted_orders(orders)
     if d.values[0] <= 0.0:
         raise DuplicatePointError("every point coincides with another")
-    values = level_derivatives(d, max(orders))
-    every = list(range(1, len(values) + 1))
+    values = level_derivatives(d, wanted[-1])
     return SlideReport(
-        every,
-        {order: values[order - 1] for order in every},
-        {order: "closed_form" for order in every},
+        wanted,
+        {order: values[order - 1] for order in wanted},
+        {order: "closed_form" for order in wanted},
     )
 
 
@@ -300,8 +305,10 @@ def assembly_numbers(
 
 
 def level_numbers(points: PointSet, max_order: int = 2) -> SlideReport:
-    """Level numbers of a point set; duplicate points are permitted."""
-    return _level_report(nn_distances(points, allow_duplicates=True), (max_order,))
+    """Level numbers of orders ``1..max_order``; duplicate points are permitted."""
+    return _level_report(
+        nn_distances(points, allow_duplicates=True), range(1, max_order + 1)
+    )
 
 
 @dataclass(frozen=True)

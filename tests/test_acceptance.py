@@ -2,8 +2,9 @@
 
 Statistical criteria compare seeded Monte Carlo means against frozen
 reference cells at three standard errors; the master seed below is pinned so
-the whole suite is reproducible bit for bit.  Each test prints its verdict
-and also registers it for the terminal summary.
+the whole suite is reproducible bit for bit.  Criteria 1-4 and 13 run rows
+of the oracle-check table behind ``slidestats validate``.  Each test prints
+its verdict and also registers it for the terminal summary.
 """
 
 import math
@@ -11,41 +12,33 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from slidestats import (
     ExperimentConfig,
-    Interval,
     PointSet,
     ProcessSpec,
     StatisticRequest,
     analytic_catalog,
     consecutive_gaps,
-    digamma,
     first_primes,
     generate,
     genial_entropy,
-    integrate,
     level_derivatives,
-    log_gamma,
-    neg_log_slide,
     psi1,
     psi2_conjectured,
-    psi_numeric,
-    right_derivatives,
     run_experiment,
-    slide_function,
     slide_numbers,
     step_slide_function,
-    zeta_int,
 )
+from slidestats.cli import ORACLE_CHECKS
 from conftest import random_descending, record_acceptance
 
-EULER_GAMMA = 0.5772156649015329
 ZETA_2 = math.pi**2 / 6.0
 
 # Pinned master seed; each experiment below derives its own offset stream.
 MASTER_SEED = 20260822
+# Criteria 1 and 2 use the corpus of `slidestats validate --full --seed 915`.
+ORACLE_CORPUS_SEED = 915
 
 
 def _verdict(number, label, passed, detail):
@@ -55,12 +48,15 @@ def _verdict(number, label, passed, detail):
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    rng = np.random.default_rng(915)
-    return [
-        random_descending(rng, int(rng.integers(2, 501))) for _ in range(200)
-    ]
+def _oracle_check(name, tol):
+    """Run the ``slidestats validate`` row ``name`` on the criteria 1-2 corpus.
+
+    The row's threshold must still be ``tol``, so editing the table cannot
+    loosen a criterion unnoticed.  Returns (passed, worst gap).
+    """
+    row = next(row for row in ORACLE_CHECKS if row.name == name)
+    assert row.tol == tol, f"{name}: tolerance {row.tol} is not {tol}"
+    return row.run(ORACLE_CORPUS_SEED, full=True)
 
 
 def _slide_experiment(kind, params, seed, orders=(1, 2), k=10_000, reps=50):
@@ -91,69 +87,45 @@ def _assembly_experiment(kind, params, seed, k, reps, orders=(1,)):
     return {order: report.aggregates[f"assembly:{order}"].mean for order in orders}
 
 
-def test_criterion_01_psi1_oracle(corpus):
+def _corpus_verdict(number, label, order, tol, seconds):
     start = time.perf_counter()
-    worst = max(abs(psi1(d) - psi_numeric(d, 1).value) for d in corpus)
+    passed, worst = _oracle_check(
+        f"slide order {order} closed form vs derivative oracle", tol
+    )
     elapsed = time.perf_counter() - start
     _verdict(
-        1,
-        "psi1 closed form vs derivative oracle",
-        worst < 1e-6 and elapsed < 10.0,
+        number,
+        label,
+        passed and elapsed < seconds,
         f"max gap {worst:.2e} over 200 sequences, {elapsed:.1f}s",
     )
 
 
-def test_criterion_02_psi2_oracle(corpus):
-    start = time.perf_counter()
-    worst = max(
-        abs(psi2_conjectured(d) - psi_numeric(d, 2).value) for d in corpus
-    )
-    elapsed = time.perf_counter() - start
-    _verdict(
-        2,
-        "psi2 conjectured form vs derivative oracle",
-        worst < 1e-4 and elapsed < 30.0,
-        f"max gap {worst:.2e} over 200 sequences, {elapsed:.1f}s",
-    )
+def test_criterion_01_psi1_oracle():
+    _corpus_verdict(1, "psi1 closed form vs derivative oracle", 1, 1e-6, 10.0)
+
+
+def test_criterion_02_psi2_oracle():
+    _corpus_verdict(2, "psi2 conjectured form vs derivative oracle", 2, 1e-4, 30.0)
 
 
 def test_criterion_03_catalog_entropies():
-    rows = [
-        ("uniform", {}, 0.0),
-        ("neg_log", {}, EULER_GAMMA),
-        ("exponential", {}, EULER_GAMMA),
-        ("power", {"a": 0.25}, -math.log(0.25)),
-        ("power", {"a": 0.5}, -math.log(0.5)),
-        ("power", {"a": 0.9}, -math.log(0.9)),
-        ("half_normal", {}, (-1.0 + EULER_GAMMA + math.log(math.pi)) / 2.0),
-        ("half_cauchy", {}, -1.0 + math.log(2.0) + math.log(math.pi)),
-    ]
-    worst = max(
-        abs(genial_entropy(analytic_catalog(name, params)) - expected)
-        for name, params, expected in rows
-    )
-    _verdict(
-        3,
-        "catalog genial entropies",
-        worst < 1e-6,
-        f"{len(rows)} rows, max gap {worst:.2e}",
-    )
+    passed, worst = _oracle_check("catalog entropies vs quadrature", 1e-6)
+    _verdict(3, "catalog genial entropies", passed, f"8 rows, max gap {worst:.2e}")
 
 
 def test_criterion_04_neg_log_consistency():
-    density = analytic_catalog("neg_log")
-    closed = lambda t: -1.0 + t - t * digamma(t) + log_gamma(1.0 + t)
-    curve_gap = max(
-        abs(slide_function(density, t).value - closed(t))
-        for t in (0.1, 0.25, 0.5, 1.0, 2.0)
-    )
-    d1, d2 = right_derivatives(neg_log_slide, 2)
-    psi_ok = abs(d1.value - 1.0) < 1e-4 and abs(d2.value + ZETA_2) < 1e-3
+    rows = {
+        "curve": ("neg_log slide closed form vs quadrature", 1e-6),
+        "psi1": ("neg_log slide order 1 derivative oracle vs closed form", 1e-4),
+        "psi2": ("neg_log slide order 2 derivative oracle vs closed form", 1e-3),
+    }
+    checks = {key: _oracle_check(*row) for key, row in rows.items()}
     _verdict(
         4,
         "neg_log slide consistency",
-        curve_gap < 1e-6 and psi_ok,
-        f"curve gap {curve_gap:.2e}, psi1 {d1.value:.6f}, psi2 {d2.value:.6f}",
+        all(passed for passed, _ in checks.values()),
+        ", ".join(f"{key} gap {gap:.2e}" for key, (_, gap) in checks.items()),
     )
 
 
@@ -376,14 +348,5 @@ def test_criterion_12_property_suites():
 
 
 def test_criterion_13_derangement_integrals():
-    targets = {2: -1.0, 3: 2.0, 4: -9.0, 5: 44.0}
-    worst = max(
-        abs(-integrate(lambda x: (1.0 + math.log(x)) ** n, Interval(0.0, 1.0)) - v)
-        for n, v in targets.items()
-    )
-    _verdict(
-        13,
-        "derangement integrals",
-        worst < 1e-6,
-        f"orders 2..5, max gap {worst:.2e}",
-    )
+    passed, worst = _oracle_check("derangement integrals n=2..5", 1e-6)
+    _verdict(13, "derangement integrals", passed, f"orders 2..5, max gap {worst:.2e}")

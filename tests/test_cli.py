@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import slidestats
-from slidestats import slide_stats
+from slidestats import cli, slide_stats
 from slidestats.cli import main
 
 
@@ -79,6 +79,15 @@ class TestStats:
     def test_duplicate_points_allowed_for_level(self, dup_file, capsys):
         assert main(["stats", dup_file, "--stat", "level"]) == 0
         assert "lambda_1" in capsys.readouterr().out
+
+    def test_level_prints_only_requested_orders(self, dup_file, capsys):
+        assert main(["stats", dup_file, "--stat", "level", "--orders", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "lambda_2" in out and "lambda_1" not in out
+        args = ["stats", dup_file, "--stat", "level", "--orders", "2", "--format", "json"]
+        assert main(args) == 0
+        level = json.loads(capsys.readouterr().out)["statistics"]["level"]
+        assert list(level["values"]) == list(level["method"]) == ["2"]
 
     def test_slide_and_level_share_one_extraction(
         self, square_file, monkeypatch, capsys
@@ -237,8 +246,21 @@ class TestValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 7
+        assert [line.split("  ")[1] for line in lines] == [
+            row.name for row in cli.ORACLE_CHECKS
+        ]
         assert all(line.startswith("PASS") for line in lines)
+        assert out.endswith("all checks passed\n")
+
+    def test_failed_row_exits_1(self, monkeypatch, capsys):
+        rows = list(cli.ORACLE_CHECKS)
+        rows[-1] = rows[-1]._replace(worst_gap=lambda seed, full: math.inf)
+        monkeypatch.setattr(cli, "ORACLE_CHECKS", tuple(rows))
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"FAIL  {rows[-1].name}  (worst gap inf, tolerance 1e-06)" in lines
+        assert sum(line.startswith("PASS") for line in lines) == len(rows) - 1
+        assert lines[-1] == "1 check(s) failed"
 
 
 class TestEntropy:

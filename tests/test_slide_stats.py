@@ -612,9 +612,15 @@ class TestPointStatistics:
         shared = point_statistics(
             points, dict.fromkeys(kinds, orders), cross_check=cross_check
         )
+        level = level_numbers(points, max(orders))
+        wanted = sorted(orders)
         separate = {
             "slide": slide_numbers(points, orders, cross_check),
-            "level": level_numbers(points, max(orders)),
+            "level": SlideReport(
+                wanted,
+                {order: level.values[order] for order in wanted},
+                {order: level.method[order] for order in wanted},
+            ),
             "assembly": assembly_numbers(points, orders, cross_check),
         }
         assert list(shared) == list(kinds)
