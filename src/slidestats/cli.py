@@ -45,6 +45,7 @@ from .processes import process_kinds
 from .slide_stats import (  # noqa: F401
     _ORACLE_TOL,
     MAX_NUMERIC_ORDER,
+    _checked_requests,
     _closed_forms,
     assembly_numbers,
     dimension_estimates,
@@ -88,8 +89,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def _parse_kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(part.strip() for part in text.split(",") if part.strip())
-    for kind in kinds:
-        statistic_kind(kind)
     if not kinds:
         raise ConfigError("at least one statistic kind is required")
     return kinds
@@ -107,9 +106,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
-    points = load_points(args.file, args.points_format)
     orders = _parse_int_list(args.orders, "--orders")
-    kinds = _parse_kinds(args.stat)
+    requests = dict.fromkeys(_parse_kinds(args.stat), orders)
+    _checked_requests(requests)  # a bad request fails before the file is read
+    points = load_points(args.file, args.points_format)
     payload: dict[str, Any] = {
         "source": args.file,
         "points": len(points),
@@ -118,7 +118,7 @@ def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
     }
     reports = point_statistics(
         points,
-        dict.fromkeys(kinds, orders),
+        requests,
         cross_check=not args.no_cross_check,
         pairwise_cap=args.pairwise_cap,
     )

@@ -12,6 +12,12 @@ extraction sorts the array it has just made once, in place, into contiguous
 non-increasing order, and then checks only its ends: NaN and -inf sort last
 and +inf first, so the first and last values decide finiteness, sign and
 zeros.
+
+scipy is loaded only where it is used: :func:`load_spatial` imports
+``scipy.spatial`` on the first k-d tree or Euclidean ``pdist``, so the 1-d
+sort, the callable-metric scans and the rest of the package never load it.
+:func:`slidestats.harness.run_experiment` calls it once before it starts a
+process pool, so forked workers inherit the loaded modules.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-# Eager: forked pool workers inherit it; deferred, each k-d tree pool pays ~0.4 s.
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import DuplicatePointError
 
@@ -32,6 +35,7 @@ __all__ = [
     "as_descending",
     "consecutive_gaps",
     "distinct_nearest",
+    "load_spatial",
     "nn_distances",
     "pairwise_distances",
 ]
@@ -252,12 +256,23 @@ def _nn_euclidean_1d(coords: np.ndarray) -> np.ndarray:
     return np.minimum(left, right)
 
 
+def load_spatial() -> Any:
+    """``scipy.spatial``, imported on the first call.
+
+    Importing it takes about 0.4 s, most of the package's import time, and
+    only the k-d tree and Euclidean pairwise extractions need it.
+    """
+    import scipy.spatial.distance
+
+    return scipy.spatial
+
+
 def _nn_euclidean_tree(coords: np.ndarray) -> np.ndarray:
     # Without compact_nodes the build skips shrinking each node's box to its
     # points, which costs more than it saves in a single query pass.  Querying
     # in the tree's own leaf order keeps consecutive queries on the same nodes;
     # the result stays in that order, since callers sort it.
-    tree = cKDTree(coords, compact_nodes=False)
+    tree = load_spatial().cKDTree(coords, compact_nodes=False)
     dist, _ = tree.query(coords[tree.indices], k=[2], workers=-1)
     return dist[:, 0]
 
@@ -334,7 +349,7 @@ def pairwise_distances(
                 out[pos] = points.metric(items[i], items[j])
                 pos += 1
     else:
-        out = pdist(points.coords)
+        out = load_spatial().distance.pdist(points.coords)
     return DescendingDistances._from_owned(
         out,
         "pairwise",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DuplicatePointError, ParseError
-from .geometry import PAIRWISE_CAP, PointSet
+from .geometry import PAIRWISE_CAP, PointSet, load_spatial
 from .processes import GENERATOR_NAME, ProcessSpec, generate, substream
 # slide_numbers, assembly_numbers and level_numbers are no longer called here,
 # but perfbench/run.py hooks these module attributes.
@@ -335,6 +334,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 _replicate_outcome(config, r) for r in range(config.replicates)
             ]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Forked workers inherit scipy.spatial instead of each importing it.
+            load_spatial()
             chunk = max(1, config.replicates // (4 * config.workers))
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 outcomes = list(

@@ -226,21 +226,21 @@ class SlideReport:
             )
 
 
-def _wanted_orders(orders: Iterable[int]) -> list[int]:
+def _wanted_orders(orders: Iterable[int], max_order: int | None) -> list[int]:
+    """``orders`` sorted and deduplicated; a bad order is a ValueError."""
     wanted = sorted(set(int(o) for o in orders))
     if not wanted:
         raise ValueError("at least one order is required")
     if wanted[0] < 1:
         raise ValueError("orders must be positive")
+    if max_order is not None and wanted[-1] > max_order:
+        raise ValueError(f"orders above {max_order} have no closed form")
     return wanted
 
 
 def _slide_report(
-    d: DescendingDistances, orders: Iterable[int], cross_check: bool
+    d: DescendingDistances, wanted: list[int], cross_check: bool
 ) -> SlideReport:
-    wanted = _wanted_orders(orders)
-    if wanted[-1] > MAX_NUMERIC_ORDER:
-        raise ValueError(f"orders above {MAX_NUMERIC_ORDER} have no closed form")
     closed = _closed_forms(d, wanted[-1])
     values = {order: closed[order - 1] for order in wanted}
     oracle_error = {
@@ -254,19 +254,18 @@ def _slide_report(
 
 
 def _distinct_slide_report(
-    d: DescendingDistances, orders: Iterable[int], cross_check: bool
+    d: DescendingDistances, wanted: list[int], cross_check: bool
 ) -> SlideReport:
-    return _slide_report(distinct_nearest(d), orders, cross_check)
+    return _slide_report(distinct_nearest(d), wanted, cross_check)
 
 
 def _level_report(
-    d: DescendingDistances, orders: Iterable[int], cross_check: bool = False
+    d: DescendingDistances, wanted: list[int], cross_check: bool = False
 ) -> SlideReport:
     """Level numbers of the requested orders.
 
     The level family has no oracle, so ``cross_check`` is ignored.
     """
-    wanted = _wanted_orders(orders)
     if d.values[0] <= 0.0:
         raise DuplicatePointError("every point coincides with another")
     values = level_derivatives(d, wanted[-1])
@@ -289,7 +288,7 @@ def slide_numbers(
     on is also estimated by the differentiation oracle and the gap recorded
     in ``oracle_error``.
     """
-    return _slide_report(nn_distances(points), orders, cross_check)
+    return point_statistics(points, {"slide": orders}, cross_check)["slide"]
 
 
 def assembly_numbers(
@@ -299,16 +298,14 @@ def assembly_numbers(
     max_points: int = PAIRWISE_CAP,
 ) -> SlideReport:
     """Assembly numbers: slide statistics over all pairwise distances."""
-    return _slide_report(
-        pairwise_distances(points, max_points=max_points), orders, cross_check
-    )
+    return point_statistics(
+        points, {"assembly": orders}, cross_check, pairwise_cap=max_points
+    )["assembly"]
 
 
 def level_numbers(points: PointSet, max_order: int = 2) -> SlideReport:
     """Level numbers of orders ``1..max_order``; duplicate points are permitted."""
-    return _level_report(
-        nn_distances(points, allow_duplicates=True), range(1, max_order + 1)
-    )
+    return point_statistics(points, {"level": range(1, max_order + 1)})["level"]
 
 
 @dataclass(frozen=True)
@@ -317,13 +314,14 @@ class StatisticKind:
 
     ``extraction`` names the distances it is computed from
     (``nearest_neighbor``, taken with duplicates allowed, or ``pairwise``);
-    ``report`` turns them into a :class:`SlideReport` given the orders and
-    the cross-check flag; ``max_order`` bounds the orders, None for no bound.
+    ``report`` turns them into a :class:`SlideReport` given the orders, as
+    checked by :func:`_wanted_orders`, and the cross-check flag;
+    ``max_order`` bounds the orders, None for no bound.
     """
 
     symbol: str
     extraction: str
-    report: Callable[[DescendingDistances, Iterable[int], bool], SlideReport]
+    report: Callable[[DescendingDistances, list[int], bool], SlideReport]
     max_order: int | None = MAX_NUMERIC_ORDER
 
 
@@ -344,6 +342,20 @@ def statistic_kind(name: str) -> StatisticKind:
         ) from None
 
 
+def _checked_requests(
+    requests: Mapping[str, Iterable[int]],
+) -> dict[str, tuple[StatisticKind, list[int]]]:
+    """Each requested kind with its orders, sorted and deduplicated.
+
+    An unknown kind is a :class:`ConfigError` and a bad order a ValueError.
+    """
+    checked = {}
+    for name, orders in requests.items():
+        kind = statistic_kind(name)
+        checked[name] = (kind, _wanted_orders(orders, kind.max_order))
+    return checked
+
+
 def point_statistics(
     points: PointSet,
     requests: Mapping[str, Iterable[int]],
@@ -352,17 +364,17 @@ def point_statistics(
 ) -> dict[str, SlideReport]:
     """Reports for several statistic kinds of one point set, keyed by kind.
 
-    ``requests`` maps each kind to its orders.  Kinds are computed in
-    request order, and each extraction is made when a kind first needs it
-    and shared by the kinds after it: slide and level read one array of
-    nearest-neighbour distances, so a coinciding point fails at slide, after
-    any level request before it.  Nothing is kept between calls.  Every
-    value is bit-identical to the one the kind's own function returns.
+    ``requests`` maps each kind to its orders.  Every kind and its orders
+    are checked before the first extraction, so a bad request fails before
+    any work.  Kinds are computed in request order, and each extraction is
+    made when a kind first needs it and shared by the kinds after it: slide
+    and level read one array of nearest-neighbour distances, so a coinciding
+    point fails at slide, after any level request before it.  Nothing is
+    kept between calls.
     """
     extracted: dict[str, DescendingDistances] = {}
     reports: dict[str, SlideReport] = {}
-    for name, orders in requests.items():
-        kind = statistic_kind(name)
+    for name, (kind, wanted) in _checked_requests(requests).items():
         d = extracted.get(kind.extraction)
         if d is None:
             if kind.extraction == "pairwise":
@@ -370,7 +382,7 @@ def point_statistics(
             else:
                 d = nn_distances(points, allow_duplicates=True)
             extracted[kind.extraction] = d
-        reports[name] = kind.report(d, orders, cross_check)
+        reports[name] = kind.report(d, wanted, cross_check)
     return reports
 
 

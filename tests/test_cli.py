@@ -66,6 +66,25 @@ class TestStats:
     def test_bad_stat_kind(self, square_file, capsys):
         assert main(["stats", square_file, "--stat", "magic"]) == 2
 
+    @pytest.mark.parametrize(
+        "request_args, message",
+        [
+            (["--stat", "bogus"], "unknown statistic kind 'bogus'"),
+            (["--orders", "5"], "orders above 4 have no closed form"),
+            (["--stat", "level,slide", "--orders", "1,5"], "orders above 4"),
+            (["--orders", "0"], "orders must be positive"),
+        ],
+    )
+    def test_bad_request_fails_before_reading_the_file(
+        self, square_file, monkeypatch, capsys, request_args, message
+    ):
+        def unexpected_load(*args, **kwargs):
+            raise AssertionError("load_points called for a bad request")
+
+        monkeypatch.setattr(cli, "load_points", unexpected_load)
+        assert main(["stats", square_file, *request_args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("kinds", ["slide", "level,slide", "slide,level"])
     def test_duplicate_points_are_bad_input(self, dup_file, capsys, kinds):
         assert main(["stats", dup_file, "--stat", kinds]) == 2

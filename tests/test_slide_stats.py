@@ -654,6 +654,19 @@ class TestPointStatistics:
         point_statistics(points, {"level": (2,)})
         assert calls == ["nn_distances"]
 
+    def test_bad_request_fails_before_any_extraction(self, rng, monkeypatch):
+        calls = self.count_extractions(monkeypatch)
+        points = PointSet.from_coords(rng.random((50, 2)))
+        with pytest.raises(ValueError, match="orders above 4 have no closed form"):
+            point_statistics(points, {"level": (1,), "slide": (5,)})
+        with pytest.raises(ValueError, match="orders above 4 have no closed form"):
+            slide_numbers(points, (1, 5))
+        with pytest.raises(ValueError, match="orders must be positive"):
+            point_statistics(points, {"assembly": (0, 1)})
+        with pytest.raises(ConfigError, match="unknown statistic kind"):
+            point_statistics(points, {"level": (1,), "magic": (1,)})
+        assert calls == []
+
     def test_slide_reads_the_shared_array(self, rng, monkeypatch):
         seen = []
         original = slide_stats._slide_report
