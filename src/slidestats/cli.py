@@ -34,6 +34,7 @@ from .errors import ConfigError, DivergenceError, DuplicatePointError, ParseErro
 from .geometry import PAIRWISE_CAP
 from .harness import (
     ExperimentConfig,
+    _checked_tol,
     load_points,
     render_reports,
     run_experiment,
@@ -82,8 +83,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"{flag} expects comma separated integers, got {text!r}")
-    if not values:
-        raise ConfigError(f"{flag} must name at least one value")
     return values
 
 
@@ -108,7 +107,9 @@ def _write(text: str, out: str | None) -> None:
 def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
     orders = _parse_int_list(args.orders, "--orders")
     requests = dict.fromkeys(_parse_kinds(args.stat), orders)
-    _checked_requests(requests)  # a bad request fails before the file is read
+    # A bad request or tolerance fails before the file is read.
+    _checked_requests(requests)
+    tol = _checked_tol(args.tol)
     points = load_points(args.file, args.points_format)
     payload: dict[str, Any] = {
         "source": args.file,
@@ -125,7 +126,6 @@ def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
     for kind, report in reports.items():
         payload["statistics"][kind] = {
             "values": {str(o): report.values[o] for o in report.orders},
-            "method": {str(o): report.method[o] for o in report.orders},
             "oracle_error": {str(o): g for o, g in report.oracle_error.items()},
         }
         if kind == "slide":
@@ -133,7 +133,7 @@ def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
                 str(o): v for o, v in dimension_estimates(report).items()
             }
             if 1 in report.orders and len(report.orders) > 1:
-                verdict = tangibility_check(report, tol=args.tol)
+                verdict = tangibility_check(report, tol=tol)
                 payload["tangibility"] = {
                     "tangible": verdict.tangible,
                     "consensus_dimension": verdict.consensus_dimension,
@@ -153,10 +153,7 @@ def _stats_text(payload: dict[str, Any]) -> str:
         for order, value in block["values"].items():
             gap = block["oracle_error"].get(order)
             suffix = f"  (oracle gap {gap:.3g})" if gap is not None else ""
-            lines.append(
-                f"  {symbol}_{order} = {value: .6f}  "
-                f"[{block['method'][order]}]{suffix}"
-            )
+            lines.append(f"  {symbol}_{order} = {value: .6f}{suffix}")
     estimates = payload.get("dimension_estimates")
     if estimates:
         shown = ", ".join(
@@ -235,11 +232,12 @@ def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
         data["tangibility_tol"] = args.tol
     if args.no_cross_check:
         data["cross_check"] = False
-    if args.stat is not None:
-        orders = _parse_int_list(args.orders, "--orders")
-        data["statistics"] = [
-            {"kind": kind, "orders": list(orders)} for kind in _parse_kinds(args.stat)
-        ]
+    if args.stat is not None or args.orders is not None:
+        # --orders alone means --stat slide, as in stats.
+        kinds = _parse_kinds("slide" if args.stat is None else args.stat)
+        text = "1,2" if args.orders is None else args.orders
+        orders = _parse_int_list(text, "--orders")
+        data["statistics"] = [{"kind": kind, "orders": list(orders)} for kind in kinds]
     if "process" not in data:
         raise ConfigError(
             "no process specified; pass --process or a --config file "
@@ -449,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--replicates", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=None, help="master seed")
     simulate.add_argument("--stat", default=None, help="comma separated kinds")
-    simulate.add_argument("--orders", default="1,2", help="comma separated orders")
+    simulate.add_argument(
+        "--orders", default=None, help="comma separated orders (default 1,2)"
+    )
     simulate.add_argument("--workers", type=int, default=None)
     simulate.add_argument("--pairwise-cap", type=int, default=None)
     simulate.add_argument("--tol", type=float, default=None)

@@ -34,6 +34,7 @@ from .processes import GENERATOR_NAME, ProcessSpec, generate, substream
 from .slide_stats import (  # noqa: F401
     SlideReport,
     TangibilityVerdict,
+    _checked_requests,
     _rank_weights,
     assembly_numbers,
     dimension_estimates,
@@ -76,6 +77,13 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _checked_tol(tol: Any) -> float:
+    """``tol`` as a float; anything but a positive number is a ConfigError."""
+    if not (_is_number(tol) and tol > 0.0):
+        raise ConfigError(f"tangibility_tol must be a positive number, got {tol!r}")
+    return float(tol)
+
+
 @dataclass(frozen=True)
 class StatisticRequest:
     """One family of statistics to compute on every replicate."""
@@ -84,23 +92,15 @@ class StatisticRequest:
     orders: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
-        max_order = statistic_kind(self.kind).max_order
         if not isinstance(self.orders, (list, tuple)):
             raise ConfigError(
                 f"orders must be an array of integers, got {self.orders!r}"
             )
-        orders = tuple(sorted(_as_int("order", o) for o in self.orders))
-        object.__setattr__(self, "orders", orders)
-        if not orders:
-            raise ConfigError("at least one order is required")
-        if len(set(orders)) != len(orders):
-            raise ConfigError("orders must be distinct")
-        if orders[0] < 1:
-            raise ConfigError("orders must be positive")
-        if max_order is not None and orders[-1] > max_order:
-            raise ConfigError(
-                f"{self.kind} orders above {max_order} are not computable"
-            )
+        try:
+            _, wanted = _checked_requests({self.kind: self.orders})[self.kind]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "orders", tuple(wanted))
 
     def key(self, order: int) -> str:
         return f"{self.kind}:{order}"
@@ -139,10 +139,7 @@ class ExperimentConfig:
             raise ConfigError("statistic kinds must not repeat")
         if _as_int("master_seed", self.master_seed) < 0:
             raise ConfigError("master_seed must be nonnegative")
-        tol = self.tangibility_tol
-        if not (_is_number(tol) and tol > 0.0):
-            raise ConfigError(f"tangibility_tol must be a positive number, got {tol!r}")
-        object.__setattr__(self, "tangibility_tol", float(tol))
+        object.__setattr__(self, "tangibility_tol", _checked_tol(self.tangibility_tol))
         if _as_int("workers", self.workers) < 1:
             raise ConfigError("workers must be at least 1")
         _as_int("pairwise_cap", self.pairwise_cap)
@@ -367,12 +364,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     if slide_request is not None and successes:
         mean_report = SlideReport(
-            list(slide_request.orders),
             {
                 order: aggregates[slide_request.key(order)].mean
                 for order in slide_request.orders
-            },
-            {order: "closed_form" for order in slide_request.orders},
+            }
         )
         estimates = dimension_estimates(mean_report)
         if slide_request.orders[0] == 1 and len(slide_request.orders) > 1:
@@ -446,25 +441,20 @@ def render_reports(
 def _render_csv(reports: Sequence[ExperimentReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["process", "statistic", "order", "method", "replicates", "mean", "sd"]
-    )
+    writer.writerow(["process", "statistic", "order", "replicates", "mean", "sd"])
     for report in reports:
         label = _process_label(report.config.process)
         for request in report.config.statistics:
             for order in request.orders:
                 agg = report.aggregates.get(request.key(order))
                 if agg is None:
-                    writer.writerow(
-                        [label, request.kind, order, "closed_form", 0, "", ""]
-                    )
+                    writer.writerow([label, request.kind, order, 0, "", ""])
                     continue
                 writer.writerow(
                     [
                         label,
                         request.kind,
                         order,
-                        "closed_form",
                         agg.count,
                         repr(agg.mean),
                         "" if agg.sd is None else repr(agg.sd),

@@ -206,31 +206,43 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
 class SlideReport:
     """Computed statistics for one distance extraction of one point set.
 
-    ``values`` maps order to the statistic and ``method`` records how each
-    was obtained (``closed_form`` at every order); ``oracle_error`` holds,
-    per cross-checked order, the gap between the closed form and the
+    ``values`` maps each requested order to its statistic, and the read-only
+    ``orders`` lists those orders ascending; ``oracle_error`` holds, per
+    cross-checked order, the gap between the closed form and the
     differentiation oracle.
     """
 
-    orders: list[int]
     values: dict[int, float]
-    method: dict[int, str]
     oracle_error: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if sorted(self.orders) != sorted(self.values):
-            raise ValueError("orders and values must cover the same keys")
         if 1 in self.values and self.values[1] < -1e-9:
             raise ValueError(
                 f"order-1 value {self.values[1]} violates nonnegativity"
             )
 
+    @property
+    def orders(self) -> list[int]:
+        return sorted(self.values)
+
 
 def _wanted_orders(orders: Iterable[int], max_order: int | None) -> list[int]:
-    """``orders`` sorted and deduplicated; a bad order is a ValueError."""
-    wanted = sorted(set(int(o) for o in orders))
+    """``orders`` as sorted Python ints; a bad order is a ValueError.
+
+    This is the one order rule.  Orders are integers (numpy integers too, but
+    no bool), at least one and none repeated, positive and at most
+    ``max_order`` unless that is None.
+    """
+    wanted = []
+    for order in orders:
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+            raise ValueError(f"orders must be integers, got {order!r}")
+        wanted.append(int(order))
+    wanted.sort()
     if not wanted:
         raise ValueError("at least one order is required")
+    if len(set(wanted)) != len(wanted):
+        raise ValueError("orders must be distinct")
     if wanted[0] < 1:
         raise ValueError("orders must be positive")
     if max_order is not None and wanted[-1] > max_order:
@@ -248,9 +260,7 @@ def _slide_report(
         for order in wanted
         if cross_check and order >= 2
     }
-    return SlideReport(
-        wanted, values, {order: "closed_form" for order in wanted}, oracle_error
-    )
+    return SlideReport(values, oracle_error)
 
 
 def _distinct_slide_report(
@@ -269,11 +279,7 @@ def _level_report(
     if d.values[0] <= 0.0:
         raise DuplicatePointError("every point coincides with another")
     values = level_derivatives(d, wanted[-1])
-    return SlideReport(
-        wanted,
-        {order: values[order - 1] for order in wanted},
-        {order: "closed_form" for order in wanted},
-    )
+    return SlideReport({order: values[order - 1] for order in wanted})
 
 
 def slide_numbers(
@@ -345,7 +351,7 @@ def statistic_kind(name: str) -> StatisticKind:
 def _checked_requests(
     requests: Mapping[str, Iterable[int]],
 ) -> dict[str, tuple[StatisticKind, list[int]]]:
-    """Each requested kind with its orders, sorted and deduplicated.
+    """Each requested kind with its orders, as :func:`_wanted_orders` returns them.
 
     An unknown kind is a :class:`ConfigError` and a bad order a ValueError.
     """

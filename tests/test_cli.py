@@ -7,10 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slidestats
-from slidestats import cli, slide_stats
+from slidestats import (
+    ConfigError,
+    ExperimentConfig,
+    PointSet,
+    ProcessSpec,
+    StatisticRequest,
+    cli,
+    point_statistics,
+    slide_stats,
+)
 from slidestats.cli import main
 
 
@@ -46,7 +56,7 @@ class TestStats:
         assert payload["dimension"] == 2
         assert set(payload["statistics"]) == {"slide", "level"}
         slide = payload["statistics"]["slide"]
-        assert slide["method"]["1"] == "closed_form"
+        assert set(slide) == {"values", "oracle_error"}
         assert slide["values"]["1"] > 0.0
         assert payload["tangibility"]["tangible"] in (True, False)
 
@@ -73,6 +83,7 @@ class TestStats:
             (["--orders", "5"], "orders above 4 have no closed form"),
             (["--stat", "level,slide", "--orders", "1,5"], "orders above 4"),
             (["--orders", "0"], "orders must be positive"),
+            (["--tol", "0"], "tangibility_tol must be a positive number"),
         ],
     )
     def test_bad_request_fails_before_reading_the_file(
@@ -106,7 +117,7 @@ class TestStats:
         args = ["stats", dup_file, "--stat", "level", "--orders", "2", "--format", "json"]
         assert main(args) == 0
         level = json.loads(capsys.readouterr().out)["statistics"]["level"]
-        assert list(level["values"]) == list(level["method"]) == ["2"]
+        assert list(level["values"]) == ["2"]
 
     def test_slide_and_level_share_one_extraction(
         self, square_file, monkeypatch, capsys
@@ -145,6 +156,9 @@ def test_closed_pipe_exits_quietly_with_141():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+SIMULATE = ["simulate", "--process", "uniform_cube", "--param", "dim=2"]
 
 
 class TestSimulate:
@@ -215,6 +229,14 @@ class TestSimulate:
         assert lines[1].startswith("uniform_cube(dim=1),slide,1")
         assert lines[3].startswith("uniform_cube(dim=2),slide,1")
 
+    def test_orders_alone_request_slide(self, capsys):
+        argv = [*SIMULATE, "--size", "200", "--replicates", "3"]
+        assert main([*argv, "--orders", "1,2,3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[1:3] for row in rows] == [["rho", str(o)] for o in (1, 2, 3)]
+        assert main([*argv, "--orders", "9"]) == 2
+        assert capsys.readouterr().err == "error: orders above 4 have no closed form\n"
+
     def test_dims_requires_uniform_cube(self, capsys):
         assert main(["simulate", "--dims", "1,2", "--process", "normal"]) == 2
 
@@ -258,6 +280,64 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+
+# One table of bad orders, run through every entry point that takes orders.
+BAD_ORDERS = [
+    *((kind, orders) for kind in ("slide", "assembly")
+      for orders in ((), (1, 1), (0,), (5,))),
+    ("slide", (1.5,)),
+    ("slide", (True,)),
+    ("slide", ("2",)),
+]
+BAD_ORDER_IDS = [f"{kind}-{','.join(map(repr, orders))}" for kind, orders in BAD_ORDERS]
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("kind, orders", BAD_ORDERS, ids=BAD_ORDER_IDS)
+    def test_library_and_harness_agree(self, kind, orders):
+        points = PointSet.from_coords([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError) as library:
+            point_statistics(points, {kind: orders})
+        with pytest.raises(ConfigError) as harness:
+            StatisticRequest(kind, orders)
+        assert str(harness.value) == str(library.value)
+
+    @pytest.mark.parametrize("kind, orders", BAD_ORDERS, ids=BAD_ORDER_IDS)
+    def test_stats_and_simulate_agree(self, square_file, tmp_path, capsys, kind, orders):
+        # A command line carries each order as its Python literal, so the
+        # string "2" arrives quoted rather than as the valid order 2.
+        flags = ["--stat", kind, "--orders", ",".join(map(repr, orders))]
+        assert main(["stats", square_file, *flags]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+        assert main([*SIMULATE, "--size", "20", "--replicates", "1", *flags]) == 2
+        assert capsys.readouterr().err == message
+        # A config file carries the orders as JSON values, unchanged.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "process": {"kind": "uniform_cube"}, "sample_size": 20, "replicates": 1,
+            "statistics": [{"kind": kind, "orders": list(orders)}],
+        }))
+        assert main(["simulate", "--config", str(config)]) == 2
+        with pytest.raises(ConfigError) as harness:
+            StatisticRequest(kind, orders)
+        assert capsys.readouterr().err == f"error: {harness.value}\n"
+
+    def test_numpy_integer_orders_are_accepted(self, square_file, capsys):
+        order = np.int64(2)
+        request = StatisticRequest("slide", (order,))
+        assert request.orders == (2,) and type(request.orders[0]) is int
+        config = ExperimentConfig(ProcessSpec("uniform_cube", {"dim": 2}), 20, 1, (request,))
+        assert json.loads(json.dumps(config.to_dict()))["statistics"] == [
+            {"kind": "slide", "orders": [2]}
+        ]
+        points = PointSet.from_coords([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        report = point_statistics(points, {"slide": (order,)})["slide"]
+        assert report.orders == [2] and type(report.orders[0]) is int
+        assert main(["stats", square_file, "--orders", str(order)]) == 0
+        assert main([*SIMULATE, "--size", "20", "--replicates", "1",
+                     "--orders", str(order)]) == 0
 
 
 class TestValidate:

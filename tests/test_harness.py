@@ -317,14 +317,14 @@ class TestSerialization:
     def test_csv_rendering(self):
         report = run_experiment(small_config(replicates=2))
         lines = render_reports([report], "csv").splitlines()
-        assert lines[0] == "process,statistic,order,method,replicates,mean,sd"
+        assert lines[0] == "process,statistic,order,replicates,mean,sd"
         assert len(lines) == 5  # header + slide 1,2 + level 1,2
         first = lines[1].split(",")
         assert first[0] == "uniform_cube(dim=2)"
         assert first[1] == "slide" and first[2] == "1"
-        assert first[3] == "closed_form"
+        assert first[3] == "2"
         # repr round-trips the float exactly
-        assert float(first[5]) == report.aggregates["slide:1"].mean
+        assert float(first[4]) == report.aggregates["slide:1"].mean
 
     def test_table_rendering(self):
         report = run_experiment(small_config(replicates=2))

@@ -449,8 +449,7 @@ class TestReports:
         report = slide_numbers(points, orders=(1, 2))
         assert report.values[1] == psi1(d)
         assert report.values[2] == psi2_conjectured(d)
-        assert report.method[1] == "closed_form"
-        assert report.method[2] == "closed_form"
+        assert report.orders == [1, 2]
         assert report.oracle_error[2] < 1e-4
 
     def test_cross_check_can_be_disabled(self, rng):
@@ -461,8 +460,7 @@ class TestReports:
     def test_higher_orders(self, rng):
         points = PointSet.from_coords(rng.random((40, 1)))
         report = slide_numbers(points, orders=(1, 2, 3, 4))
-        assert report.method[3] == "closed_form"
-        assert report.method[4] == "closed_form"
+        assert report.orders == [1, 2, 3, 4]
         assert 3 in report.oracle_error and 4 in report.oracle_error
         assert 1 not in report.oracle_error
         assert report.oracle_error[3] < _ORACLE_TOL[3]
@@ -500,7 +498,7 @@ class TestReports:
     def test_level_numbers_permit_duplicates(self):
         points = PointSet.from_coords([[0.0], [0.0], [1.0], [3.0]])
         report = level_numbers(points, max_order=2)
-        assert report.method[1] == "closed_form"
+        assert report.orders == [1, 2]
         assert math.isfinite(report.values[2])
 
     def test_level_numbers_reject_fully_coincident(self):
@@ -519,9 +517,7 @@ class TestReports:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            SlideReport([1], {2: 0.5}, {2: "closed_form"})
-        with pytest.raises(ValueError):
-            SlideReport([1], {1: -1.0}, {1: "closed_form"})
+            SlideReport({1: -1.0})
 
     def test_consecutive_gaps_feed_the_statistics(self):
         points = PointSet.from_coords([0.0, 1.0, 3.0, 7.0])
@@ -616,11 +612,7 @@ class TestPointStatistics:
         wanted = sorted(orders)
         separate = {
             "slide": slide_numbers(points, orders, cross_check),
-            "level": SlideReport(
-                wanted,
-                {order: level.values[order] for order in wanted},
-                {order: level.method[order] for order in wanted},
-            ),
+            "level": SlideReport({order: level.values[order] for order in wanted}),
             "assembly": assembly_numbers(points, orders, cross_check),
         }
         assert list(shared) == list(kinds)
@@ -721,10 +713,7 @@ class TestPointStatistics:
 
 class TestDimension:
     def _report(self, values):
-        orders = sorted(values)
-        return SlideReport(
-            orders, dict(values), {o: "closed_form" for o in orders}
-        )
+        return SlideReport(dict(values))
 
     def test_estimates_from_reference_power_law(self):
         report = self._report({1: 0.5, 2: -zeta_int(2) / 4.0})
