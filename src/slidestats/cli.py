@@ -168,11 +168,17 @@ def _stats_text(payload: dict[str, Any]) -> str:
                 f"  tangible at tolerance {verdict['tolerance']}: dimension "
                 f"{verdict['consensus_dimension']:.4f}"
             )
-        else:
-            worst = max(verdict["residuals"].values(), default=float("nan"))
+        elif verdict["residuals"]:
+            worst = max(verdict["residuals"].values())
             lines.append(
                 f"  not tangible at tolerance {verdict['tolerance']} "
                 f"(worst residual {worst:.4f})"
+            )
+        else:
+            # tangibility_check compares no order when rho_1 <= 0.
+            rho1 = payload["statistics"]["slide"]["values"]["1"]
+            lines.append(
+                f"  not tangible: rho_1 = {rho1:.6g} gives no dimension estimate"
             )
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ The slide function evaluates G along the normalized power family
 quadrature route is tested against.  That form is evaluated in log space,
 which keeps it exact up to rounding and free of overflow at any ``t``; the
 logs and rank weights are taken once per distance set, so the many
-evaluations of a derivative ladder cost one ``expm1`` and two dot products
+evaluations of a derivative ladder cost one ``expm1`` and three dot products
 each.  The genial entropy of a step density is the same form at ``t = 1``.
 """
 
@@ -206,9 +206,10 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     With ``x_r = t ln(d_r / d_1)``, ``q = exp(x)``, ``Q = sum(q)`` and the
     centred rank weights ``c_r = ln(n) + (r-1) ln(r-1) - r ln(r)``, which sum
     to zero, the exact finite sum ``sum_r xlogx((r-1) p_r) - xlogx(r p_r)``
-    over ``p = q / Q`` equals ``(q.c - q.x) / Q + ln(Q / n)``.  The logs and
-    the weights are taken once; each ``t`` costs one ``expm1`` and two dot
-    products.
+    over ``p = q / Q`` equals ``(q.c - q.x) / Q + ln(Q / n)``.  The curve
+    holds three arrays of ``n`` floats: the logs, its own weights and one
+    work buffer, which every ``t`` reuses for ``x`` and then ``q``, at the
+    cost of one ``expm1`` and three dot products, with ``q.x = t q.ell``.
 
     While every ``|x_r| <= 1`` the sum runs on ``e = q - 1``: there
     ``q.c = e.c``, ``q.x = e.x + t sum(ell)`` and ``ln(Q / n) =
@@ -222,31 +223,36 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     # numpy's log can round a strided view and a contiguous copy differently
     # in the last bit; taking it on contiguous values makes the curve
     # independent of memory layout (no copy for contiguous input).
-    log_d = np.log(np.ascontiguousarray(values))
-    log_top = float(log_d[0])
-    ell = log_d - log_top  # <= 0, exactly 0 at the top; d_r / d_1 could underflow
+    ell = np.log(np.ascontiguousarray(values))
+    log_top = float(ell[0])
+    # ell <= 0, exactly 0 at the top; d_r / d_1 could underflow
+    np.subtract(ell, log_top, out=ell)
     ell_sum = float(ell.sum())
     depth = -float(ell[-1])  # largest |ell_r|
+    work = np.empty(n)
     g = np.arange(n + 1.0)
-    g[1:] *= np.log(g[1:])  # g_r = r ln(r), so g_0 = g_1 = 0
-    weights = log_n - np.diff(g)
+    g[1:] *= np.log(g[1:], out=work)  # g_r = r ln(r), so g_0 = g_1 = 0
+    np.subtract(g[1:], g[:-1], out=work)
+    weights = np.subtract(log_n, work, out=g[1:])
 
     def sigma(t: float) -> SlideFunctionEvaluation:
         if t < 0.0:
             raise ValueError("slide parameter must be nonnegative")
         if t == 0.0:
             return SlideFunctionEvaluation(0.0, 1.0, 0.0)
-        x = t * ell
+        x = np.multiply(ell, t, out=work)
         if t * depth <= 1.0:
-            e = np.expm1(x)
+            e = np.expm1(x, out=work)
             excess = float(e.sum())  # Q - n
             total = n + excess
-            numerator = float(np.dot(e, weights)) - float(np.dot(e, x)) - t * ell_sum
+            numerator = (
+                float(np.dot(e, weights)) - t * float(np.dot(e, ell)) - t * ell_sum
+            )
             log_mean_q = math.log1p(excess / n)
         else:
-            q = np.exp(x)
+            q = np.exp(x, out=work)
             total = float(q.sum())
-            numerator = float(np.dot(q, weights)) - float(np.dot(q, x))
+            numerator = float(np.dot(q, weights)) - t * float(np.dot(q, ell))
             log_mean_q = math.log(total / n)
         value = numerator / total + log_mean_q
         try:

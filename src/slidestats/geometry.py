@@ -249,11 +249,17 @@ def _nn_metric_scan(items: Sequence[Any], metric: Callable[[Any, Any], float]) -
 
 
 def _nn_euclidean_1d(coords: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour distances of 1-d points, in sorted-coordinate order.
+
+    Holds two arrays: the sorted copy of the coordinates and their gaps.
+    Each point's distance, the smaller gap beside it, is written over the
+    sorted copy, which is returned.
+    """
     x = np.sort(coords[:, 0])
     gaps = np.diff(x)
-    left = np.concatenate(([np.inf], gaps))
-    right = np.concatenate((gaps, [np.inf]))
-    return np.minimum(left, right)
+    x[0], x[-1] = gaps[0], gaps[-1]
+    np.minimum(gaps[:-1], gaps[1:], out=x[1:-1])
+    return x
 
 
 def load_spatial() -> Any:

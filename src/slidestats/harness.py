@@ -35,11 +35,12 @@ from .slide_stats import (  # noqa: F401
     SlideReport,
     TangibilityVerdict,
     _checked_requests,
-    _rank_weights,
     assembly_numbers,
     dimension_estimates,
     level_numbers,
     point_statistics,
+    share_rank_weights,
+    shared_rank_weights,
     slide_numbers,
     statistic_kind,
     tangibility_check,
@@ -68,9 +69,10 @@ _ATTEMPT_STRIDE = 2**32  # retry substreams must never collide with replicates
 
 
 def _as_int(name: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` as a Python int; numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _is_number(value: Any) -> bool:
@@ -128,21 +130,24 @@ class ExperimentConfig:
         ):
             raise ConfigError("statistics must be an array of statistic requests")
         object.__setattr__(self, "statistics", tuple(self.statistics))
-        if _as_int("sample_size", self.sample_size) < 2:
+        for name in (
+            "sample_size", "replicates", "master_seed", "workers", "pairwise_cap"
+        ):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.sample_size < 2:
             raise ConfigError("sample_size must be at least 2")
-        if _as_int("replicates", self.replicates) < 1:
+        if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not self.statistics:
             raise ConfigError("at least one statistic request is required")
         kinds = [request.kind for request in self.statistics]
         if len(set(kinds)) != len(kinds):
             raise ConfigError("statistic kinds must not repeat")
-        if _as_int("master_seed", self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
         object.__setattr__(self, "tangibility_tol", _checked_tol(self.tangibility_tol))
-        if _as_int("workers", self.workers) < 1:
+        if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        _as_int("pairwise_cap", self.pairwise_cap)
         if not isinstance(self.cross_check, bool):
             raise ConfigError(
                 f"cross_check must be a boolean, got {self.cross_check!r}"
@@ -325,30 +330,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     tangibility is judged on the aggregate slide means when order 1 and at
     least one higher order were requested.
     """
-    try:
-        if config.workers == 1:
+    # The replicates share one array of rank weights per size, serially and
+    # in each pool worker, and none outlives the run: at the default pairwise
+    # cap one size holds about 100 MB.
+    if config.workers == 1:
+        with shared_rank_weights():
             outcomes = [
                 _replicate_outcome(config, r) for r in range(config.replicates)
             ]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # Forked workers inherit scipy.spatial instead of each importing it.
-            load_spatial()
-            chunk = max(1, config.replicates // (4 * config.workers))
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        _replicate_outcome,
-                        repeat(config),
-                        range(config.replicates),
-                        chunksize=chunk,
-                    )
+        # Forked workers inherit scipy.spatial instead of each importing it.
+        load_spatial()
+        chunk = max(1, config.replicates // (4 * config.workers))
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=share_rank_weights
+        ) as pool:
+            outcomes = list(
+                pool.map(
+                    _replicate_outcome,
+                    repeat(config),
+                    range(config.replicates),
+                    chunksize=chunk,
                 )
-    finally:
-        # The rank weights serve this experiment's replicates; at the default
-        # pairwise cap one size holds about 100 MB, so none outlives the run.
-        _rank_weights.cache_clear()
+            )
     failures = tuple(o for o in outcomes if isinstance(o, FailedReplicate))
     successes = [o for o in outcomes if not isinstance(o, FailedReplicate)]
     per_replicate: dict[str, tuple[float, ...]] = {}

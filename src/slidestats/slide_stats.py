@@ -18,10 +18,11 @@ distance by a positive constant leaves the results unchanged to rounding.
 
 from __future__ import annotations
 
-import functools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -57,6 +58,8 @@ __all__ = [
     "psi1",
     "psi2_conjectured",
     "psi_numeric",
+    "share_rank_weights",
+    "shared_rank_weights",
     "slide_numbers",
     "statistic_kind",
     "tangibility_check",
@@ -68,25 +71,106 @@ MAX_NUMERIC_ORDER = 4
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
-@functools.lru_cache(maxsize=2)
-def _rank_weights(n: int) -> np.ndarray:
-    """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``.
+# The kernels over n distances run in blocks of this many values, so the
+# memory they take beyond their input and one array of rank weights does not
+# grow with n, and each block's buffers stay in cache between passes.
+_BLOCK = 1 << 14
 
-    They decrease in ``r`` and sum to zero.  Every replicate of an experiment
-    has the same ``n``, so the weights are cached by size; two sizes cover
-    the nearest-neighbour and the pairwise extraction of one experiment, at
-    ``8 n`` bytes each.  The returned array is read-only because every
-    caller shares it.
+# The rank weights shared by size, or None outside shared_rank_weights().
+_SHARED_WEIGHTS: ContextVar[dict[int, np.ndarray] | None] = ContextVar(
+    "shared_rank_weights", default=None
+)
+
+
+@contextmanager
+def shared_rank_weights() -> Iterator[None]:
+    """Within the block, build the rank weights once per size and share them.
+
+    Every replicate of an experiment has the same distance counts, so
+    :func:`slidestats.harness.run_experiment` runs its replicates inside one
+    block.  The arrays are released when the outermost block exits; an inner
+    block keeps the outer one's arrays.
     """
-    g = np.arange(n + 1.0)
-    g[1:] *= np.log(g[1:])  # g_r = r ln(r), so g_0 = g_1 = 0
-    weights = math.log(n) - np.diff(g)
+    if _SHARED_WEIGHTS.get() is not None:
+        yield
+        return
+    token = _SHARED_WEIGHTS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_WEIGHTS.reset(token)
+
+
+def share_rank_weights() -> None:
+    """Share the rank weights as :func:`shared_rank_weights` does, for good.
+
+    For a process that serves one experiment and exits with it, such as a
+    pool worker of :func:`slidestats.harness.run_experiment`.
+    """
+    if _SHARED_WEIGHTS.get() is None:
+        _SHARED_WEIGHTS.set({})
+
+
+def _rank_weights(n: int) -> np.ndarray:
+    """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``, read-only.
+
+    They decrease in ``r`` and sum to zero.  Inside
+    :func:`shared_rank_weights` one array per size is built and every caller
+    shares it; outside, each call builds its own, so nothing outlives the
+    statistics that asked for it.  The build writes block by block straight
+    into the result, holding ``8 n`` bytes plus three buffers of at most
+    ``_BLOCK + 1`` floats.
+    """
+    shared = _SHARED_WEIGHTS.get()
+    weights = None if shared is None else shared.get(n)
+    if weights is None:
+        weights = _build_rank_weights(n)
+        if shared is not None:
+            shared[n] = weights
+    return weights
+
+
+def _build_rank_weights(n: int) -> np.ndarray:
+    weights = np.empty(n)
+    log_n = math.log(n)
+    size = min(n, _BLOCK) + 1
+    offsets = np.arange(float(size))
+    ranks = np.empty(size)
+    g = np.empty(size)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        r, g_r = ranks[: hi - lo + 1], g[: hi - lo + 1]
+        np.add(offsets[: r.size], lo, out=r)  # ranks lo..hi, exact in float
+        if lo == 0:
+            r[0] = 1.0  # so that g_0 = 1 ln(1) = 0
+        np.log(r, out=g_r)
+        np.multiply(g_r, r, out=g_r)  # g_r = r ln(r)
+        block = weights[lo:hi]
+        np.subtract(g_r[1:], g_r[:-1], out=block)
+        np.subtract(log_n, block, out=block)
     weights.flags.writeable = False
     return weights
 
 
+def _log_ratio_blocks(
+    d: np.ndarray, out: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``ln(d_r / d_n)`` of descending ``d``, one block at a time, in ``out``.
+
+    Yields each block's slice of ``d`` and its logs, a view of ``out`` (at
+    least ``min(d.size, _BLOCK)`` floats) that the next block overwrites.
+    The last log is exactly 0.
+    """
+    bottom = d[-1]
+    for lo in range(0, d.size, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, d.size))
+        ell = out[: block.stop - lo]
+        np.divide(d[block], bottom, out=ell)
+        yield block, np.log(ell, out=ell)
+
+
 def _closed_forms(distances: Any, max_order: int = 2) -> tuple[float, ...]:
-    """Slide derivatives of orders ``1..max(2, max_order)`` in one pass.
+    """Slide derivatives of orders ``1..max(2, max_order)`` in block passes.
 
     Over ``ell_r = ln(d_r / d_n)`` and the rank weights ``c_r``, the slide
     function is ``sigma(t) = E_t[c] - t K'(t) + K(t)``, with
@@ -98,31 +182,34 @@ def _closed_forms(distances: Any, max_order: int = 2) -> tuple[float, ...]:
     with ``m_j = mean(x^j)`` and ``e_j = mean(x^j c)``: they are
     ``e_3 - 3 m_2 e_1 - 2 m_3`` and
     ``e_4 - 4 e_1 m_3 - 6 m_2 e_2 - 3 (m_4 - 3 m_2^2)``.
+
+    One pass gives orders 1 and 2 and the mean of the logs, and a second
+    pass the centred sums.  Each pass takes the logs block by block into a
+    buffer of three blocks, and the block sums are added with ``math.fsum``.
     """
     d = as_descending(distances, min_size=2, positive=True).values
     n = d.size
     c = _rank_weights(n)
-    ell = np.log(d / d[-1])  # ell[-1] == 0 exactly
-    c_ell = c * ell
-    a = float(c_ell.sum())
-    b = float(np.dot(c_ell, ell))
-    s1 = float(ell.sum())
-    s2 = float(np.dot(ell, ell))
+    work = np.empty((3, min(n, _BLOCK)))
+    parts = np.empty((-(-n // _BLOCK), 7))
+    for i, (block, ell) in enumerate(_log_ratio_blocks(d, work[0])):
+        c_ell = np.multiply(c[block], ell, out=work[1, : ell.size])
+        parts[i, :4] = (c_ell.sum(), np.dot(c_ell, ell), ell.sum(), np.dot(ell, ell))
+    a, b, s1, s2 = (math.fsum(column) for column in parts[:, :4].T)
     out = [a / n, -(2.0 * s1 * a - n * b + n * s2 - s1 * s1) / (n * n)]
     if max_order >= 3:
-        # ell and c_ell are spent; their buffers take x and x^2.
-        x = np.subtract(ell, s1 / n, out=ell)
-        x2 = np.multiply(x, x, out=c_ell)
-        cx2 = c * x2
-        e1 = float(np.dot(c, x)) / n
-        e2 = float(cx2.sum()) / n
-        e3 = float(np.dot(cx2, x)) / n
-        m2 = float(x2.sum()) / n
-        m3 = float(np.dot(x2, x)) / n
+        mean = s1 / n
+        for i, (block, x) in enumerate(_log_ratio_blocks(d, work[0])):
+            np.subtract(x, mean, out=x)
+            x2 = np.multiply(x, x, out=work[1, : x.size])
+            cx2 = np.multiply(c[block], x2, out=work[2, : x.size])
+            parts[i] = (
+                np.dot(c[block], x), cx2.sum(), np.dot(cx2, x), np.dot(cx2, x2),
+                x2.sum(), np.dot(x2, x), np.dot(x2, x2),
+            )
+        e1, e2, e3, e4, m2, m3, m4 = (math.fsum(column) / n for column in parts.T)
         out.append(e3 - 3.0 * m2 * e1 - 2.0 * m3)
         if max_order >= 4:
-            e4 = float(np.dot(cx2, x2)) / n
-            m4 = float(np.dot(x2, x2)) / n
             out.append(e4 - 4.0 * e1 * m3 - 6.0 * m2 * e2 - 3.0 * (m4 - 3.0 * m2 * m2))
     return tuple(out)
 
@@ -187,7 +274,8 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     distances, with the rank weights ``c_r`` of :func:`psi1`; each higher
     order k is the negated k-th moment of ``1 - d_r / mean(d)``.  Zero
     distances are permitted (duplicate points), but not all of them may
-    vanish.
+    vanish.  One block pass takes every order into a buffer of two blocks,
+    and the block sums are added with ``math.fsum``.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -195,11 +283,19 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     if d[0] <= 0.0:
         raise ValueError("distances must not all be zero")
     n = d.size
-    ratio = d / d.mean()
-    out = [float(np.dot(_rank_weights(n), ratio)) / n]
-    for k in range(2, max_order + 1):
-        out.append(float(-np.mean((1.0 - ratio) ** k)))
-    return out
+    mean = d.mean()
+    c = _rank_weights(n)
+    work = np.empty((2, min(n, _BLOCK)))
+    parts = np.empty((-(-n // _BLOCK), max_order))
+    for i, lo in enumerate(range(0, n, _BLOCK)):
+        hi = min(lo + _BLOCK, n)
+        ratio = np.divide(d[lo:hi], mean, out=work[0, : hi - lo])
+        parts[i, 0] = np.dot(c[lo:hi], ratio)
+        gap = np.subtract(1.0, ratio, out=ratio)
+        for k in range(2, max_order + 1):
+            parts[i, k - 1] = np.power(gap, k, out=work[1, : hi - lo]).sum()
+    sums = [math.fsum(column) / n for column in parts.T]
+    return [sums[0]] + [-moment for moment in sums[1:]]
 
 
 @dataclass
@@ -375,20 +471,23 @@ def point_statistics(
     any work.  Kinds are computed in request order, and each extraction is
     made when a kind first needs it and shared by the kinds after it: slide
     and level read one array of nearest-neighbour distances, so a coinciding
-    point fails at slide, after any level request before it.  Nothing is
-    kept between calls.
+    point fails at slide, after any level request before it.  The kinds
+    share the rank weights of each size too; outside
+    :func:`shared_rank_weights` nothing is kept between calls.
     """
     extracted: dict[str, DescendingDistances] = {}
     reports: dict[str, SlideReport] = {}
-    for name, (kind, wanted) in _checked_requests(requests).items():
-        d = extracted.get(kind.extraction)
-        if d is None:
-            if kind.extraction == "pairwise":
-                d = pairwise_distances(points, max_points=pairwise_cap)
-            else:
-                d = nn_distances(points, allow_duplicates=True)
-            extracted[kind.extraction] = d
-        reports[name] = kind.report(d, wanted, cross_check)
+    checked = _checked_requests(requests)
+    with shared_rank_weights():
+        for name, (kind, wanted) in checked.items():
+            d = extracted.get(kind.extraction)
+            if d is None:
+                if kind.extraction == "pairwise":
+                    d = pairwise_distances(points, max_points=pairwise_cap)
+                else:
+                    d = nn_distances(points, allow_duplicates=True)
+                extracted[kind.extraction] = d
+            reports[name] = kind.report(d, wanted, cross_check)
     return reports
 
 

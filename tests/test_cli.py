@@ -60,6 +60,18 @@ class TestStats:
         assert slide["values"]["1"] > 0.0
         assert payload["tangibility"]["tangible"] in (True, False)
 
+    def test_text_names_why_rho1_zero_is_not_tangible(self, tmp_path, capsys):
+        # Every nearest-neighbour distance is 1, so rho_1 = 0.
+        path = tmp_path / "corner.csv"
+        path.write_text("0,0\n1,0\n0,1\n")
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "  not tangible: rho_1 = 0 gives no dimension estimate\n" in out
+        assert "nan" not in out
+        assert main(["stats", str(path), "--format", "json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["tangibility"]
+        assert verdict["residuals"] == {} and verdict["tangible"] is False
+
     def test_out_writes_file(self, square_file, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert main(["stats", square_file, "--format", "json", "--out", str(out)]) == 0

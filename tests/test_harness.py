@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import tracemalloc
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,21 @@ class TestConfigValidation:
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError):
             small_config(replicates=True)
+
+    @pytest.mark.parametrize(
+        "name", ["sample_size", "replicates", "master_seed", "workers", "pairwise_cap"]
+    )
+    def test_numpy_integers_are_stored_as_int(self, name):
+        plain = small_config(**{name: 7})
+        config = small_config(**{name: np.int64(7)})
+        assert type(getattr(config, name)) is int
+        assert config == plain
+        text = json.dumps(config.to_dict())
+        assert text == json.dumps(plain.to_dict())
+        assert ExperimentConfig.from_dict(json.loads(text)) == plain
+        for flag in (True, np.True_):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                small_config(**{name: flag})
 
     def test_repeated_statistic_kind(self):
         with pytest.raises(ConfigError):
@@ -196,14 +214,50 @@ class TestRunExperiment:
         assert serial.per_replicate == pooled.per_replicate
 
     def test_rank_weights_released_after_run(self, monkeypatch):
-        slide_stats._rank_weights(7)
+        built = []
+        original = slide_stats._build_rank_weights
+
+        def recording(n):
+            weights = original(n)
+            built.append(weakref.ref(weights))
+            return weights
+
+        monkeypatch.setattr(slide_stats, "_build_rank_weights", recording)
         run_experiment(small_config(statistics=(StatisticRequest("assembly", (1,)),)))
-        assert slide_stats._rank_weights.cache_info().currsize == 0
-        slide_stats._rank_weights(7)
+        assert len(built) == 1 and built[0]() is None
         monkeypatch.setattr(harness, "generate", generate_failing_at_stream_3)
         with pytest.raises(RuntimeError, match="generator bug"):
             run_experiment(small_config(replicates=6))
-        assert slide_stats._rank_weights.cache_info().currsize == 0
+        assert len(built) == 2 and built[1]() is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rank_weights_built_once_per_size(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "builds"
+        original = slide_stats._build_rank_weights
+
+        def logging_build(n):  # appends from every worker process
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {n}\n")
+            return original(n)
+
+        monkeypatch.setattr(slide_stats, "_build_rank_weights", logging_build)
+        statistics = (
+            StatisticRequest("slide", (1, 2)),
+            StatisticRequest("assembly", (1,)),
+            StatisticRequest("level", (1, 2)),
+        )
+        run_experiment(small_config(replicates=6, workers=workers, statistics=statistics))
+        lines = log.read_text().splitlines()
+        builds = Counter(tuple(map(int, line.split())) for line in lines)
+        assert set(builds.values()) == {1}
+        by_process = {}
+        for pid, n in builds:
+            by_process.setdefault(pid, set()).add(n)
+        assert all(sizes == {40, 40 * 39 // 2} for sizes in by_process.values())
+        if workers == 1:
+            assert set(by_process) == {os.getpid()}
+        else:
+            assert os.getpid() not in by_process
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_replicate_is_named(self, monkeypatch, workers):

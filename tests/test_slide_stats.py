@@ -42,6 +42,17 @@ from conftest import random_descending
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+BLOCK = slide_stats._BLOCK
+
+
+def rank_weights_reference(n):
+    """The rank weights from whole-array operations: ``ln(n) - diff(r ln(r))``.
+
+    The block-wise build must match them bit for bit.
+    """
+    g = np.arange(n + 1.0)
+    g[1:] *= np.log(g[1:])
+    return math.log(n) - np.diff(g)
 
 
 def psi2_raw_sums(d):
@@ -136,20 +147,31 @@ class TestClosedFormKernel:
         scaled = _closed_forms(scale * d)
         assert scaled == pytest.approx((one, two), rel=1e-12, abs=1e-13)
 
-    @pytest.mark.parametrize("sizes", [[2, 7, 7, 3, 2], [499_500, 10**4, 499_500, 1]])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [2, 7, 7, 3, 2, BLOCK, BLOCK + 1, 2 * BLOCK - 1, BLOCK + 1],
+            [499_500, 10**4, 499_500, 1],
+        ],
+    )
     def test_rank_weights_cached_and_read_only(self, sizes):
-        for n in sizes:
-            cached = _rank_weights(n)
-            assert cached is _rank_weights(n)
-            assert cached.tobytes() == _rank_weights.__wrapped__(n).tobytes()
-            with pytest.raises(ValueError):
-                cached[0] = 1.0
-            with pytest.raises(ValueError):
-                cached *= 2.0
-            r = np.arange(2.0, min(n, 50) + 1)
-            reference = math.log(n) - r * np.log(r) + (r - 1.0) * np.log(r - 1.0)
-            assert cached[1 : r.size + 1] == pytest.approx(reference, rel=1e-12, abs=1e-12)
-            assert cached[0] == math.log(n)
+        with slide_stats.shared_rank_weights():
+            for n in sizes:
+                cached = _rank_weights(n)
+                assert cached is _rank_weights(n)
+                assert cached.tobytes() == rank_weights_reference(n).tobytes()
+                with pytest.raises(ValueError):
+                    cached[0] = 1.0
+                with pytest.raises(ValueError):
+                    cached *= 2.0
+                r = np.arange(2.0, min(n, 50) + 1)
+                reference = math.log(n) - r * np.log(r) + (r - 1.0) * np.log(r - 1.0)
+                assert cached[1 : r.size + 1] == pytest.approx(
+                    reference, rel=1e-12, abs=1e-12
+                )
+                assert cached[0] == math.log(n)
+        # Outside a scope every call builds its own array.
+        assert _rank_weights(sizes[0]) is not _rank_weights(sizes[0])
 
 
 class TestPsi1:
