@@ -90,6 +90,8 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(part.strip() for part in text.split(",") if part.strip())
     if not kinds:
         raise ConfigError("at least one statistic kind is required")
+    if len(set(kinds)) != len(kinds):
+        raise ConfigError("statistic kinds must not repeat")
     return kinds
 
 
@@ -196,6 +198,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
+    statistics = None
+    if args.stat is not None or args.orders is not None:
+        # --orders alone means --stat slide, as in stats.  Parsed before the
+        # config file is read, so a bad flag fails at once, as in stats.
+        kinds = _parse_kinds("slide" if args.stat is None else args.stat)
+        text = "1,2" if args.orders is None else args.orders
+        orders = _parse_int_list(text, "--orders")
+        statistics = [{"kind": kind, "orders": list(orders)} for kind in kinds]
     if args.config is not None:
         try:
             data = json.loads(Path(args.config).read_text())
@@ -238,12 +248,8 @@ def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
         data["tangibility_tol"] = args.tol
     if args.no_cross_check:
         data["cross_check"] = False
-    if args.stat is not None or args.orders is not None:
-        # --orders alone means --stat slide, as in stats.
-        kinds = _parse_kinds("slide" if args.stat is None else args.stat)
-        text = "1,2" if args.orders is None else args.orders
-        orders = _parse_int_list(text, "--orders")
-        data["statistics"] = [{"kind": kind, "orders": list(orders)} for kind in kinds]
+    if statistics is not None:
+        data["statistics"] = statistics
     if "process" not in data:
         raise ConfigError(
             "no process specified; pass --process or a --config file "

@@ -23,6 +23,7 @@ each.  The genial entropy of a step density is the same form at ``t = 1``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -469,7 +470,8 @@ def analytic_catalog(name: str, params: dict | None = None) -> CornerDensity:
 
     Available names: uniform (width ``b``), neg_log, exponential, power
     (exponent ``a`` in (0, 1)), half_normal, half_cauchy, and neg_log_power
-    (exponent ``r > 0``).  Unknown names or parameters raise
+    (exponent ``r > 0``).  Unknown names or parameters, and parameter values
+    that are not real numbers (``bool`` included), raise
     :class:`ConfigError`.
     """
     params = dict(params) if params else {}
@@ -483,4 +485,10 @@ def analytic_catalog(name: str, params: dict | None = None) -> CornerDensity:
         raise ConfigError(
             f"catalog density {name!r} does not accept parameters {sorted(extra)}"
         )
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(
+                f"catalog density {name!r} parameter {key} must be a number, "
+                f"got {value!r}"
+            )
     return builder(params)

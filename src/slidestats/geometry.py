@@ -7,11 +7,14 @@ Duplicate detection is exact coordinate equality, surfacing as a zero
 distance, never an epsilon test.
 
 :class:`DescendingDistances` is the one place a distance sequence is sorted
-and validated; the statistics reach it through :func:`as_descending`.  Every
-extraction sorts the array it has just made once, in place, into contiguous
-non-increasing order, and then checks only its ends: NaN and -inf sort last
-and +inf first, so the first and last values decide finiteness, sign and
-zeros.
+and validated, and its constructor is the one way to build it from a
+sequence: ``DescendingDistances(values)`` copies the values once and sorts
+the copy.  The statistics reach it through :func:`as_descending`, which adds
+each consumer's own size and positivity rules.  An extraction skips the copy:
+it sorts the array it has just made in place.  Either way the sorted array
+is contiguous and non-increasing, and only its ends are checked: NaN and
+-inf sort last and +inf first, so the first and last values decide
+finiteness, sign and zeros.
 
 scipy is loaded only where it is used: :func:`load_spatial` imports
 ``scipy.spatial`` on the first k-d tree or Euclidean ``pdist``, so the 1-d
@@ -22,7 +25,6 @@ process pool, so forked workers inherit the loaded modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -40,97 +42,64 @@ __all__ = [
     "pairwise_distances",
 ]
 
-_ORIGINS = ("nearest_neighbor", "pairwise", "raw")
-
 PAIRWISE_CAP = 5000
 
 
-@dataclass(eq=False)
 class DescendingDistances:
     """A finite multiset of distances stored in non-increasing order.
 
-    ``origin`` records how the values were extracted.  Nearest-neighbour and
-    pairwise extractions guarantee strictly positive values; ``raw`` permits
-    zeros (needed by the level statistics, where duplicate points are legal).
+    ``DescendingDistances(values)`` copies ``values`` once into a float array
+    and sorts the copy; the caller's sequence is never modified.  The values
+    must form a nonempty 1-d sequence of finite, nonnegative numbers; zeros
+    are legal here, and each consumer states through :func:`as_descending`
+    whether it needs them strictly positive.
     """
 
-    values: np.ndarray
-    origin: str = "raw"
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        _check_shape(values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("distances must be finite")
-        if np.any(values < 0.0):
-            raise ValueError("distances must be nonnegative")
-        if np.any(np.diff(values) > 0.0):
-            raise ValueError("distances must be in non-increasing order")
-        self.values = values
-        self._check_origin()
-
-    def _check_origin(self) -> None:
-        if self.origin not in _ORIGINS:
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if self.origin != "raw" and self.values[-1] <= 0.0:
-            raise DuplicatePointError(
-                f"{self.origin} distances must be strictly positive"
-            )
-
-    @classmethod
-    def from_values(cls, values: Any, origin: str = "raw") -> "DescendingDistances":
-        """Sort ``values`` into non-increasing order and wrap them.
-
-        ``values`` is copied exactly once and never modified; the copy is
-        sorted in place and checked at its ends, with the same errors as
-        direct construction.
-        """
-        return cls._from_owned(np.array(values, dtype=float), origin)
+    def __init__(self, values: Any) -> None:
+        self.values = _sorted_in_place(np.array(values, dtype=float))
 
     @classmethod
     def _from_owned(
-        cls, values: np.ndarray, origin: str, duplicate_error: str | None = None
+        cls, values: np.ndarray, duplicate_error: str | None = None
     ) -> "DescendingDistances":
-        """Sort ``values``, a float array no caller holds, in place and wrap it.
+        """Wrap ``values``, a float array no caller holds, sorting it in place.
 
-        Sorting the negated values keeps the result contiguous: numpy's
-        ``log`` rounds strided input differently from contiguous input, so a
-        reversed view of an ascending sort would not give bit-identical
-        statistics.  After the sort +inf comes first and -inf and NaN last,
-        so the ends alone decide what ``__post_init__`` scans the whole array
-        for.  With ``duplicate_error`` a zero raises
-        :class:`DuplicatePointError` with that message; only negative values
-        and NaN sort after a zero, so a positive last value rules zeros out
-        without a scan.
+        With ``duplicate_error`` a zero anywhere, even behind a NaN, raises
+        :class:`DuplicatePointError` with that message.
         """
-        _check_shape(values)
-        np.negative(values, out=values)
-        values.sort()
-        np.negative(values, out=values)
-        if duplicate_error and not values[-1] > 0.0 and np.any(values == 0.0):
-            raise DuplicatePointError(duplicate_error)
-        if not (np.isfinite(values[0]) and np.isfinite(values[-1])):
-            raise ValueError("distances must be finite")
-        if values[-1] < 0.0:
-            raise ValueError("distances must be nonnegative")
-        return cls._checked(values, origin)
-
-    @classmethod
-    def _checked(cls, values: np.ndarray, origin: str) -> "DescendingDistances":
-        """Wrap sorted, finite, nonnegative ``values`` after the origin check."""
         out = cls.__new__(cls)
-        out.values = values
-        out.origin = origin
-        out._check_origin()
+        out.values = _sorted_in_place(values, duplicate_error)
         return out
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-def _check_shape(values: np.ndarray) -> None:
+def _sorted_in_place(
+    values: np.ndarray, duplicate_error: str | None = None
+) -> np.ndarray:
+    """Sort ``values`` in place into non-increasing order and check its ends.
+
+    Sorting the negated values keeps the result contiguous: numpy's ``log``
+    rounds strided input differently from contiguous input, so a reversed
+    view of an ascending sort would not give bit-identical statistics.
+    After the sort +inf comes first and -inf and NaN last, so the two ends
+    decide finiteness and sign without a scan.  Only negative values and NaN
+    sort after a zero, so a positive last value rules zeros out; otherwise
+    ``duplicate_error`` costs one scan.
+    """
     if values.ndim != 1 or values.size == 0:
         raise ValueError("distances must form a nonempty 1-d array")
+    np.negative(values, out=values)
+    values.sort()
+    np.negative(values, out=values)
+    if duplicate_error and not values[-1] > 0.0 and np.any(values == 0.0):
+        raise DuplicatePointError(duplicate_error)
+    if not (np.isfinite(values[0]) and np.isfinite(values[-1])):
+        raise ValueError("distances must be finite")
+    if values[-1] < 0.0:
+        raise ValueError("distances must be nonnegative")
+    return values
 
 
 def as_descending(
@@ -138,14 +107,14 @@ def as_descending(
 ) -> DescendingDistances:
     """``distances`` as a validated :class:`DescendingDistances`.
 
-    An existing instance passes through untouched; anything else is sorted
-    and checked by :meth:`DescendingDistances.from_values`, which copies it
-    once and leaves the caller's sequence as it was.  ``min_size`` and
-    ``positive`` (every distance strictly above zero) are the caller's own
-    rules.  Every violation raises :class:`ValueError`.
+    An existing instance passes through untouched; anything else goes
+    through the constructor, which copies it once and leaves the caller's
+    sequence as it was.  ``min_size`` and ``positive`` (every distance
+    strictly above zero) are the caller's own rules.  Every violation raises
+    :class:`ValueError`.
     """
     if not isinstance(distances, DescendingDistances):
-        distances = DescendingDistances.from_values(distances)
+        distances = DescendingDistances(distances)
     if len(distances) < min_size:
         raise ValueError(f"at least {min_size} distances are required")
     if positive and distances.values[-1] <= 0.0:
@@ -185,8 +154,8 @@ class PointSet:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.ndim != 2 or coords.shape[0] == 0:
-            raise ValueError("coords must be a nonempty (k, m) array")
+        if coords.ndim != 2 or coords.size == 0:
+            raise ValueError("coords must be a nonempty (k, m) array with m >= 1")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords must be finite")
         return cls(coords, None, metric)
@@ -294,8 +263,8 @@ def nn_distances(
         At least two points.
     allow_duplicates : bool
         When False (the default) a zero nearest-neighbour distance raises
-        :class:`DuplicatePointError`.  When True zeros pass through and the
-        result is tagged ``origin="raw"``; the level statistics use this.
+        :class:`DuplicatePointError`.  When True zeros pass through; the
+        level statistics use this.
 
     Euclidean sets in one dimension are sorted; in two or more dimensions
     every point queries one k-d tree, visiting the points in the tree's own
@@ -311,23 +280,23 @@ def nn_distances(
         nearest = _nn_euclidean_1d(points.coords)
     else:
         nearest = _nn_euclidean_tree(points.coords)
-    raw = DescendingDistances._from_owned(nearest, "raw")
+    raw = DescendingDistances._from_owned(nearest)
     return raw if allow_duplicates else distinct_nearest(raw)
 
 
 def distinct_nearest(raw: DescendingDistances) -> DescendingDistances:
-    """Raw nearest-neighbour distances as distinct-point ones, sharing the array.
+    """``raw`` itself, once it is known to hold no zero distance.
 
-    A zero distance raises :class:`DuplicatePointError`.  The statistics
-    that need distinct points and those that allow duplicates can so share
-    one extraction.
+    A zero nearest-neighbour distance raises :class:`DuplicatePointError`.
+    The statistics that need distinct points and those that allow
+    duplicates can so share one extraction.
     """
     if not raw.values[-1] > 0.0:
         raise DuplicatePointError(
             "point set contains coinciding points; nearest-neighbour "
             "distances require distinct points"
         )
-    return DescendingDistances._checked(raw.values, "nearest_neighbor")
+    return raw
 
 
 def pairwise_distances(
@@ -358,7 +327,6 @@ def pairwise_distances(
         out = load_spatial().distance.pdist(points.coords)
     return DescendingDistances._from_owned(
         out,
-        "pairwise",
         "point set contains coinciding points; pairwise distances "
         "require distinct points",
     )
@@ -377,5 +345,5 @@ def consecutive_gaps(points: PointSet) -> DescendingDistances:
         raise ValueError("consecutive gaps need at least 3 points")
     gaps = np.diff(np.sort(points.coords[:, 0]))
     return DescendingDistances._from_owned(
-        gaps, "raw", "coinciding points leave a zero gap"
+        gaps, "coinciding points leave a zero gap"
     )

@@ -110,7 +110,12 @@ class StatisticRequest:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Replicate ``r`` draws from the substream ``(master_seed, r)``; the
+    process's own ``seed`` has no effect here, so two configs that differ
+    only in ``process.seed`` give identical replicates.
+    """
 
     process: ProcessSpec
     sample_size: int

@@ -195,7 +195,13 @@ def process_kinds() -> list[str]:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """A named point process with parameters and a default seed."""
+    """A named point process with parameters and a default seed.
+
+    ``seed`` is used only by :func:`generate` called without a stream.
+    :func:`~slidestats.harness.run_experiment` always draws from substreams
+    of the config's ``master_seed``, so ``seed`` has no effect on an
+    experiment; it is kept because configs and reports carry it.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)

@@ -131,6 +131,16 @@ class TestStats:
         level = json.loads(capsys.readouterr().out)["statistics"]["level"]
         assert list(level["values"]) == ["2"]
 
+    def test_points_without_coordinates_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty_rows.json"
+        path.write_text("[[], [], []]")
+        assert main(["stats", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: coords must be a nonempty (k, m) array with m >= 1\n"
+        )
+        assert captured.out == ""
+
     def test_slide_and_level_share_one_extraction(
         self, square_file, monkeypatch, capsys
     ):
@@ -336,6 +346,18 @@ class TestOrderRule:
             StatisticRequest(kind, orders)
         assert capsys.readouterr().err == f"error: {harness.value}\n"
 
+    def test_repeated_kinds_fail_alike_before_any_file_is_read(self, tmp_path, capsys):
+        # Reading the absent file would exit 3.
+        absent = str(tmp_path / "absent.json")
+        simulate = [*SIMULATE, "--size", "20", "--replicates", "1"]
+        for argv in (
+            ["stats", absent],
+            simulate,
+            [*simulate, "--config", absent],
+        ):
+            assert main([*argv, "--stat", "slide,slide"]) == 2
+            assert capsys.readouterr().err == "error: statistic kinds must not repeat\n"
+
     def test_numpy_integer_orders_are_accepted(self, square_file, capsys):
         order = np.int64(2)
         request = StatisticRequest("slide", (order,))
@@ -397,3 +419,15 @@ class TestEntropy:
 
     def test_missing_required_param(self, capsys):
         assert main(["entropy", "power"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("power", "a=abc"), ("uniform", "b=abc"), ("neg_log_power", "r=abc")],
+    )
+    def test_non_numeric_param_is_a_config_error(self, capsys, name, param):
+        assert main(["entropy", name, "--param", param]) == 2
+        key = param.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: catalog density {name!r} parameter {key} must be a number, "
+            "got 'abc'\n"
+        )

@@ -63,7 +63,7 @@ def test_descending_and_shuffled_agree_bitwise(data, name, call, min_size, allow
     element = st.one_of(st.just(0.0), POSITIVE) if allow_zero else POSITIVE
     values = data.draw(st.lists(element, min_size=2, max_size=40).filter(any))
     shuffled = data.draw(st.permutations(values))
-    wrapped = DescendingDistances.from_values(values)
+    wrapped = DescendingDistances(values)
     assert _bits(call(wrapped)) == _bits(call(list(shuffled)))
 
 
@@ -86,12 +86,12 @@ def test_too_short_raises_value_error(name, call, min_size, allow_zero):
     short = [1.5] * (min_size - 1)
     _raises_value_error(call, short)
     if short:
-        _raises_value_error(call, DescendingDistances.from_values(short))
+        _raises_value_error(call, DescendingDistances(short))
 
 
 @pytest.mark.parametrize("name, call, min_size, allow_zero", CONSUMERS, ids=IDS)
 def test_zero_distance(name, call, min_size, allow_zero):
-    for zeros in ([1.0, 0.0], DescendingDistances.from_values([0.0, 1.0])):
+    for zeros in ([1.0, 0.0], DescendingDistances([0.0, 1.0])):
         if allow_zero:
             assert np.all(np.isfinite(call(zeros)))
         else:

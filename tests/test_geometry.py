@@ -32,35 +32,38 @@ def brute_force_nn(coords):
     return dist.min(axis=1)
 
 
+def full_scan(values, duplicate_error=None):
+    """Reference for the end checks: sort a copy, then scan every value."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("distances must form a nonempty 1-d array")
+    if duplicate_error and np.any(values == 0.0):
+        raise DuplicatePointError(duplicate_error)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("distances must be finite")
+    if np.any(values < 0.0):
+        raise ValueError("distances must be nonnegative")
+    return np.sort(values)[::-1].copy()
+
+
 class TestDescendingDistances:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DescendingDistances(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             DescendingDistances(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             DescendingDistances(np.array([[1.0], [0.5]]))
         with pytest.raises(ValueError):
             DescendingDistances(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            DescendingDistances(np.array([2.0, 1.0]), origin="sorted")
-
-    def test_positive_origins_reject_zero(self):
-        with pytest.raises(DuplicatePointError):
-            DescendingDistances(np.array([1.0, 0.0]), origin="nearest_neighbor")
-        with pytest.raises(DuplicatePointError):
-            DescendingDistances(np.array([1.0, 0.0]), origin="pairwise")
-        raw = DescendingDistances(np.array([1.0, 0.0]), origin="raw")
-        assert raw.values[-1] == 0.0
+        with_zero = DescendingDistances(np.array([0.0, 1.0]))
+        assert list(with_zero.values) == [1.0, 0.0]
 
     def test_from_values_sorts(self):
-        d = DescendingDistances.from_values([0.5, 3.0, 1.0])
+        caller = np.array([0.5, 3.0, 1.0])
+        d = DescendingDistances(caller)
         assert list(d.values) == [3.0, 1.0, 0.5]
+        assert list(caller) == [0.5, 3.0, 1.0]
+        assert not np.shares_memory(d.values, caller)
         assert len(d) == 3
-
-    def test_direct_construction_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="non-increasing order"):
-            DescendingDistances(np.array([3.0, 1.0, 2.0]))
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -78,7 +81,7 @@ class TestDescendingDistances:
     def test_from_values_matches_copying_sort(self, values, as_array):
         given_values = np.array(values) if as_array else values
         before = np.array(values)
-        d = DescendingDistances.from_values(given_values)
+        d = DescendingDistances(given_values)
         expected = np.sort(np.asarray(values, dtype=float))[::-1].copy()
         assert d.values.flags.c_contiguous
         assert d.values.tobytes() == expected.tobytes()
@@ -95,20 +98,24 @@ class TestDescendingDistances:
             min_size=1,
             max_size=8,
         ),
-        origin=st.sampled_from(["raw", "nearest_neighbor", "pairwise"]),
+        duplicate_error=st.sampled_from([None, "zero distance"]),
     )
-    def test_from_values_errors_match_full_checks(self, values, origin):
-        # Sorting and then direct construction runs every O(n) check; the
-        # checks at the ends of the in-place sort must agree with it.
+    def test_from_values_errors_match_full_checks(self, values, duplicate_error):
+        # The constructor and the extractions' copy-free path check only the
+        # ends of the sorted array; they must agree with a scan of every value.
         def outcome(build):
             try:
-                return build().values.tobytes()
+                return build().tobytes()
             except (ValueError, DuplicatePointError) as exc:
                 return type(exc), str(exc)
 
-        sorted_copy = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-        expected = outcome(lambda: DescendingDistances(sorted_copy, origin))
-        assert outcome(lambda: DescendingDistances.from_values(values, origin)) == expected
+        expected = outcome(lambda: full_scan(values, duplicate_error))
+        owned = np.array(values, dtype=float)
+        assert outcome(
+            lambda: DescendingDistances._from_owned(owned, duplicate_error).values
+        ) == expected
+        if duplicate_error is None:
+            assert outcome(lambda: DescendingDistances(values).values) == expected
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -130,7 +137,7 @@ class TestDescendingDistances:
         before = caller.copy()
         for given_values in (bad, caller):
             with pytest.raises(ValueError, match=message):
-                DescendingDistances.from_values(given_values)
+                DescendingDistances(given_values)
         assert np.array_equal(caller, before, equal_nan=True)
 
 
@@ -148,6 +155,12 @@ class TestPointSet:
             PointSet.from_coords([[np.inf, 0.0]])
         with pytest.raises(ValueError):
             PointSet.from_coords([[0.0, 1.0]], metric="manhattan")
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            PointSet.from_coords([[], [], []])
+        with pytest.raises(ValueError, match="m >= 1"):
+            PointSet.from_coords(np.empty((4, 0)))
 
     def test_elements_need_callable(self):
         with pytest.raises(ValueError):
@@ -169,7 +182,6 @@ class TestNearestNeighbor:
     def test_hand_example(self):
         points = PointSet.from_coords([0.0, 1.0, 3.0, 7.0])
         d = nn_distances(points)
-        assert d.origin == "nearest_neighbor"
         assert list(d.values) == [4.0, 2.0, 1.0, 1.0]
 
     def test_paths_agree(self, rng):
@@ -200,7 +212,6 @@ class TestNearestNeighbor:
         with pytest.raises(DuplicatePointError):
             nn_distances(points)
         d = nn_distances(points, allow_duplicates=True)
-        assert d.origin == "raw"
         assert list(d.values) == [1.0, 0.0, 0.0]
 
     def test_needs_two_points(self):
@@ -251,7 +262,6 @@ class TestPairwise:
     def test_hand_example(self):
         points = PointSet.from_coords([0.0, 1.0, 3.0])
         d = pairwise_distances(points)
-        assert d.origin == "pairwise"
         assert list(d.values) == [3.0, 2.0, 1.0]
 
     def test_count(self, rng):
@@ -291,7 +301,6 @@ class TestConsecutiveGaps:
     def test_sorted_gaps(self):
         points = PointSet.from_coords([5.0, 1.0, 2.0, 9.0])
         d = consecutive_gaps(points)
-        assert d.origin == "raw"
         assert list(d.values) == [4.0, 3.0, 1.0]
 
     def test_needs_one_dimension(self):

@@ -208,6 +208,16 @@ class TestRunExperiment:
         b = run_experiment(small_config())
         assert a.to_dict() == b.to_dict()
 
+    def test_process_seed_has_no_effect(self):
+        # Replicates draw from substreams of master_seed; ProcessSpec.seed
+        # only serves generate() called without a stream.
+        base = run_experiment(small_config())
+        reseeded = run_experiment(
+            small_config(process=ProcessSpec("uniform_cube", {"dim": 2}, seed=99))
+        )
+        assert reseeded.per_replicate == base.per_replicate
+        assert reseeded.to_dict()["config"]["process"]["seed"] == 99
+
     def test_worker_count_is_invisible(self):
         serial = run_experiment(small_config(replicates=6))
         pooled = run_experiment(small_config(replicates=6, workers=2))
