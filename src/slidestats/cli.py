@@ -394,11 +394,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    density = analytic_catalog(args.name, _parse_params(args.param))
+    params = _parse_params(args.param)
+    density = analytic_catalog(args.name, params)
     measured = genial_entropy(density)
     payload: dict[str, Any] = {
         "name": args.name,
-        "params": _parse_params(args.param),
+        "params": params,
         "genial_entropy": measured,
         "known_entropy": density.known_entropy,
     }

@@ -12,12 +12,14 @@ The central quantity is the genial entropy ``G(f) = -1 - int f ln(x f) dx``
 with the convention ``0 ln 0 = 0``.  It is invariant under rescaling of the
 density's argument, which is what makes the derived statistics unit-free.
 The slide function evaluates G along the normalized power family
-``f^t / A(t)``; for step densities it has an exact finite form, which the
-quadrature route is tested against.  That form is evaluated in log space,
-which keeps it exact up to rounding and free of overflow at any ``t``; the
-logs and rank weights are taken once per distance set, so the many
-evaluations of a derivative ladder cost one ``expm1`` and three dot products
-each.  The genial entropy of a step density is the same form at ``t = 1``.
+``f^t / A(t)``, and ``G(f)`` is its value at ``t = 1``, through that one
+route: a density whose mass the quadrature cannot resolve raises
+:class:`DivergenceError` instead of returning a value.  For step densities
+the slide function has an exact finite form, which the quadrature route is
+tested against.  That form is evaluated in log space, which keeps it exact
+up to rounding and free of overflow at any ``t``; the logs and rank weights
+are taken once per distance set, so the many evaluations of a derivative
+ladder cost one ``expm1`` and three dot products each.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +81,6 @@ class CornerDensity:
         domain: Interval,
         normalization: float,
         distances: np.ndarray | None = None,
-        name: str | None = None,
-        params: dict | None = None,
         known_entropy: float | None = None,
         known_slide: Callable[[float], float] | None = None,
         known_derivatives: Callable[[int], float] | None = None,
@@ -93,8 +93,6 @@ class CornerDensity:
         self.domain = domain
         self.normalization = normalization
         self.distances = distances
-        self.name = name
-        self.params = dict(params) if params else {}
         self.known_entropy = known_entropy
         self.known_slide = known_slide
         self.known_derivatives = known_derivatives
@@ -182,23 +180,13 @@ class SlideFunctionEvaluation:
 
 
 def genial_entropy(density: CornerDensity, tol: float = 1e-9) -> float:
-    """Genial entropy ``G(f) = -1 - int f ln(x f) dx`` of a corner density.
+    """Genial entropy ``G(f) = -1 - int f ln(x f) dx``, which is ``sigma(1)``.
 
-    Step densities are evaluated by the exact finite sum, as the slide
-    function at ``t = 1``; analytic densities go through adaptive quadrature
-    with absolute target ``tol``.
+    Raises what :func:`slide_function` raises: :class:`DivergenceError` when
+    the quadrature cannot resolve the density's mass, ``ValueError`` when
+    that mass vanishes.
     """
-    if density.is_step:
-        return _slide_curve(density.distances)(1.0).value  # G(f) = sigma(1)
-    z = density.normalization
-
-    def integrand(x: float) -> float:
-        fx = density.fn(x) / z
-        if fx <= 0.0:
-            return 0.0
-        return fx * math.log(x * fx)
-
-    return -1.0 - integrate(integrand, density.domain, 0.5 * tol)
+    return slide_function(density, 1.0, tol).value
 
 
 def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluation]:
@@ -358,137 +346,140 @@ def neg_log_derivative(order: int, power: float = 1.0) -> float:
     return sign * math.factorial(order - 1) * (order - 1) * zeta_int(order) * power**order
 
 
-def _catalog_uniform(params: dict) -> CornerDensity:
-    width = params.get("b", 1.0)
-    if not width > 0.0:
-        raise ConfigError(f"uniform width must be positive, got {width}")
+def _catalog_uniform(b: float) -> CornerDensity:
     return CornerDensity.from_function(
-        lambda x: 1.0 / width,
-        Interval(0.0, width),
+        lambda x: 1.0 / b,
+        Interval(0.0, b),
         normalization=1.0,
-        name="uniform",
-        params={"b": width},
         known_entropy=0.0,
     )
 
 
-def _catalog_neg_log(params: dict) -> CornerDensity:
+def _catalog_neg_log() -> CornerDensity:
     return CornerDensity.from_function(
         lambda x: -math.log(x),
         Interval(0.0, 1.0),
         normalization=1.0,
-        name="neg_log",
-        params={},
         known_entropy=EULER_GAMMA,
         known_slide=neg_log_slide,
         known_derivatives=neg_log_derivative,
     )
 
 
-def _catalog_exponential(params: dict) -> CornerDensity:
+def _catalog_exponential() -> CornerDensity:
     return CornerDensity.from_function(
         lambda x: math.exp(-x),
         Interval(0.0, math.inf),
         normalization=1.0,
-        name="exponential",
-        params={},
         known_entropy=EULER_GAMMA,
     )
 
 
-def _catalog_power(params: dict) -> CornerDensity:
-    exponent = params.get("a")
-    if exponent is None or not 0.0 < exponent < 1.0:
-        raise ConfigError(
-            f"power catalog density needs a parameter a in (0, 1), got {exponent}"
-        )
+def _catalog_power(a: float) -> CornerDensity:
     return CornerDensity.from_function(
-        lambda x: exponent * x ** (exponent - 1.0),
+        lambda x: a * x ** (a - 1.0),
         Interval(0.0, 1.0),
         normalization=1.0,
-        name="power",
-        params={"a": exponent},
-        known_entropy=-math.log(exponent),
+        known_entropy=-math.log(a),
     )
 
 
-def _catalog_half_normal(params: dict) -> CornerDensity:
+def _catalog_half_normal() -> CornerDensity:
     scale = 2.0 / math.sqrt(math.pi)
     return CornerDensity.from_function(
         lambda x: scale * math.exp(-x * x),
         Interval(0.0, math.inf),
         normalization=1.0,
-        name="half_normal",
-        params={},
         known_entropy=0.5 * (-1.0 + EULER_GAMMA + math.log(math.pi)),
     )
 
 
-def _catalog_half_cauchy(params: dict) -> CornerDensity:
+def _catalog_half_cauchy() -> CornerDensity:
     return CornerDensity.from_function(
         lambda x: 2.0 / (math.pi * (1.0 + x * x)),
         Interval(0.0, math.inf),
         normalization=1.0,
-        name="half_cauchy",
-        params={},
         known_entropy=-1.0 + math.log(2.0) + math.log(math.pi),
     )
 
 
-def _catalog_neg_log_power(params: dict) -> CornerDensity:
-    r = params.get("r")
-    if r is None or not r > 0.0:
-        raise ConfigError(
-            f"neg_log_power catalog density needs a parameter r > 0, got {r}"
-        )
-    norm = math.exp(log_gamma(1.0 + r))
+def _catalog_neg_log_power(r: float) -> CornerDensity:
     return CornerDensity.from_function(
         lambda x: (-math.log(x)) ** r,
         Interval(0.0, 1.0),
-        normalization=norm,
-        name="neg_log_power",
-        params={"r": r},
+        normalization=math.exp(log_gamma(1.0 + r)),
         known_entropy=neg_log_slide(1.0, r),
         known_slide=lambda t: neg_log_slide(t, r),
         known_derivatives=lambda order: neg_log_derivative(order, r),
     )
 
 
-_CATALOG = {
-    "uniform": (_catalog_uniform, {"b"}),
-    "neg_log": (_catalog_neg_log, set()),
-    "exponential": (_catalog_exponential, set()),
-    "power": (_catalog_power, {"a"}),
-    "half_normal": (_catalog_half_normal, set()),
-    "half_cauchy": (_catalog_half_cauchy, set()),
-    "neg_log_power": (_catalog_neg_log_power, {"r"}),
+class _Param(NamedTuple):
+    """A catalog parameter: the open range ``(lo, hi)`` and its default."""
+
+    lo: float
+    hi: float
+    default: float | None = None
+
+
+# The least r whose Gamma(1 + r), the neg_log_power normalization, overflows
+# a double; (0, _R_MAX) holds exactly the r whose Gamma(1 + r) is finite.
+_R_MAX = 170.62437695630274
+
+_CATALOG: dict[str, tuple[Callable[..., CornerDensity], dict[str, _Param]]] = {
+    "uniform": (_catalog_uniform, {"b": _Param(0.0, math.inf, 1.0)}),
+    "neg_log": (_catalog_neg_log, {}),
+    "exponential": (_catalog_exponential, {}),
+    "power": (_catalog_power, {"a": _Param(0.0, 1.0)}),
+    "half_normal": (_catalog_half_normal, {}),
+    "half_cauchy": (_catalog_half_cauchy, {}),
+    "neg_log_power": (_catalog_neg_log_power, {"r": _Param(0.0, _R_MAX)}),
 }
 
 
 def analytic_catalog(name: str, params: dict | None = None) -> CornerDensity:
     """Look up a named analytic corner density with its known entropy.
 
-    Available names: uniform (width ``b``), neg_log, exponential, power
-    (exponent ``a`` in (0, 1)), half_normal, half_cauchy, and neg_log_power
-    (exponent ``r > 0``).  Unknown names or parameters, and parameter values
-    that are not real numbers (``bool`` included), raise
-    :class:`ConfigError`.
+    Available names and parameter ranges: uniform (width ``b`` in
+    ``(0, inf)``, default 1), neg_log, exponential, power (exponent ``a`` in
+    ``(0, 1)``), half_normal, half_cauchy, and neg_log_power (exponent ``r``
+    in ``(0, 170.624)``, where ``Gamma(1 + r)`` is a finite double).  Unknown
+    names or parameters, a missing parameter without a default, and a value
+    that is not a real number (``bool`` included) or not strictly inside its
+    range (``inf`` and ``nan`` included) raise :class:`ConfigError`.
     """
     params = dict(params) if params else {}
     if name not in _CATALOG:
         raise ConfigError(
             f"unknown catalog density {name!r}; choose from {sorted(_CATALOG)}"
         )
-    builder, allowed = _CATALOG[name]
-    extra = set(params) - allowed
+    builder, declared = _CATALOG[name]
+    extra = set(params) - set(declared)
     if extra:
         raise ConfigError(
             f"catalog density {name!r} does not accept parameters {sorted(extra)}"
         )
-    for key, value in params.items():
+    values = {}
+    for key, param in declared.items():
+        bounds = f"({param.lo:g}, {param.hi:g})"
+        value = params.get(key, param.default)
+        if value is None:
+            raise ConfigError(
+                f"catalog density {name!r} needs a parameter {key} in {bounds}"
+            )
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(
                 f"catalog density {name!r} parameter {key} must be a number, "
                 f"got {value!r}"
             )
-    return builder(params)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the double range
+            number = math.inf
+        if not param.lo < number < param.hi:
+            raise ConfigError(
+                f"catalog density {name!r} parameter {key} must lie in {bounds}, "
+                f"got {value!r}"
+            )
+        values[key] = number
+    return builder(**values)

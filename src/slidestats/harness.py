@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DuplicatePointError, ParseError
 from .geometry import PAIRWISE_CAP, PointSet, load_spatial
-from .processes import GENERATOR_NAME, ProcessSpec, generate, substream
+from .processes import GENERATOR_NAME, ProcessSpec, _as_int, generate, substream
 # slide_numbers, assembly_numbers and level_numbers are no longer called here,
 # but perfbench/run.py hooks these module attributes.
 from .slide_stats import (  # noqa: F401
@@ -66,13 +66,6 @@ SCHEMA_VERSION = 1
 
 _MAX_ATTEMPTS = 4  # initial draw plus three retries
 _ATTEMPT_STRIDE = 2**32  # retry substreams must never collide with replicates
-
-
-def _as_int(name: str, value: Any) -> int:
-    """``value`` as a Python int; numpy integers pass, bool does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _is_number(value: Any) -> bool:
@@ -138,7 +131,9 @@ class ExperimentConfig:
         for name in (
             "sample_size", "replicates", "master_seed", "workers", "pairwise_cap"
         ):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            value = getattr(self, name)
+            error = f"{name} must be an integer, got {value!r}"
+            object.__setattr__(self, name, _as_int(value, error))
         if self.sample_size < 2:
             raise ConfigError("sample_size must be at least 2")
         if self.replicates < 1:

@@ -87,10 +87,11 @@ _WG = (
 
 
 def _eval(f: Callable[[float], float], x: float) -> float:
-    # an overflowing integrand is treated exactly like an infinite value
+    # an integrand that overflows, or divides by zero at a node rounded onto a
+    # pole, is treated exactly like an infinite value
     try:
         return f(x)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -361,7 +362,6 @@ def right_derivatives(
     g: Callable[[float], float],
     max_order: int,
     h0: float | None = None,
-    span: float | None = None,
     tol: float | None = None,
 ) -> list[DerivativeEstimate]:
     """Estimate right derivatives of ``g`` at 0 for orders ``1..max_order``.
@@ -369,15 +369,12 @@ def right_derivatives(
     Parameters
     ----------
     g : callable
-        Function defined on ``[0, span]`` (the whole right half line when
-        ``span`` is None).
+        Function defined on the right half line.
     max_order : int
         Highest derivative order, between 1 and 4.
     h0 : float, optional
         Base step of the geometric ladder ``h0 * 2**-j``.  Defaults to 1e-2
-        for orders 1-2 and 5e-2 for orders 3-4, shrunk if ``span`` requires.
-    span : float, optional
-        Right end of the interval on which ``g`` may be evaluated.
+        for orders 1-2 and 5e-2 for orders 3-4.
     tol : float, optional
         Error tolerance used to set the ``reliable`` flag on each estimate.
 
@@ -390,8 +387,6 @@ def right_derivatives(
     """
     if max_order < 1 or max_order > max(_STENCILS):
         raise ValueError(f"max_order must be in 1..{max(_STENCILS)}")
-    if span is not None and not span > 0.0:
-        raise ValueError("span must be positive")
     cache: dict[float, float] = {0.0: g(0.0)}
 
     def eval_at(t: float) -> float:
@@ -402,8 +397,6 @@ def right_derivatives(
     out = []
     for order in range(1, max_order + 1):
         base = h0 if h0 is not None else _DEFAULT_BASE_STEP[order]
-        if span is not None:
-            base = min(base, span / 4.0)
         _, _, lead = _STENCILS[order]
         raw = []
         for j in range(_LADDER_RUNGS):

@@ -62,6 +62,17 @@ def substream(master_seed: int, replicate: int) -> RandomStream:
     return RandomStream(master_seed, replicate)
 
 
+def _as_int(value: Any, error: str) -> int:
+    """``value`` as a Python int; numpy integers pass, bool does not.
+
+    The one integer rule of configs and process specs; anything else raises
+    :class:`ConfigError` with the message ``error``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(error)
+    return int(value)
+
+
 def _require_params(kind: str, params: dict, allowed: set[str]) -> None:
     extra = set(params) - allowed
     if extra:
@@ -218,12 +229,19 @@ class ProcessSpec:
                 f"process params must be an object, got {self.params!r}"
             )
         _require_params(self.kind, self.params, _KINDS[self.kind][1])
-        dim = self.params.get("dim", 1)  # only uniform_cube accepts a dim
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ConfigError(f"uniform_cube needs an integer dim >= 1, got {dim!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        # Integers are stored as Python ints, so that a report can serialise them.
+        if "dim" in self.params:  # only uniform_cube accepts a dim
+            dim = self.params["dim"]
+            error = f"uniform_cube needs an integer dim >= 1, got {dim!r}"
+            dim = _as_int(dim, error)
+            if dim < 1:
+                raise ConfigError(error)
+            object.__setattr__(self, "params", {**self.params, "dim": dim})
+        error = "seed must be a nonnegative integer"
+        seed = _as_int(self.seed, error)
+        if seed < 0:
+            raise ConfigError(error)
+        object.__setattr__(self, "seed", seed)
 
 
 def generate(

@@ -421,6 +421,28 @@ class TestEntropy:
         assert main(["entropy", "power"]) == 2
 
     @pytest.mark.parametrize(
+        "name, param, code",
+        [
+            ("uniform", "b=inf", 2),
+            ("neg_log_power", "r=inf", 2),
+            ("neg_log_power", "r=200", 2),
+            ("power", "a=1e-300", 4),
+            ("neg_log_power", "r=50", 4),
+            ("power", "a=0.03", 4),
+        ],
+    )
+    def test_unusable_density_fails_with_one_error_line(self, capsys, name, param, code):
+        assert main(["entropy", name, "--param", param]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 2:
+            key, value = param.split("=")
+            assert f"parameter {key} must lie in" in lines[0]
+            assert lines[0].endswith(f"got {value}")
+
+    @pytest.mark.parametrize(
         "name, param",
         [("power", "a=abc"), ("uniform", "b=abc"), ("neg_log_power", "r=abc")],
     )

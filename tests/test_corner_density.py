@@ -26,7 +26,8 @@ from slidestats import (
     step_slide_function,
     zeta_int,
 )
-from slidestats.corner_density import _slide_curve
+from slidestats.cli import _ENTROPY_DENSITIES
+from slidestats.corner_density import _R_MAX, _slide_curve
 from conftest import random_descending
 
 
@@ -94,6 +95,44 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             analytic_catalog("neg_log_power", {"r": -1.0})
 
+    @pytest.mark.parametrize(
+        "name, key, value, bounds",
+        [
+            ("uniform", "b", math.inf, "(0, inf)"),
+            ("uniform", "b", math.nan, "(0, inf)"),
+            ("uniform", "b", 0.0, "(0, inf)"),
+            ("uniform", "b", 10**400, "(0, inf)"),
+            ("power", "a", 0.0, "(0, 1)"),
+            ("power", "a", 1, "(0, 1)"),
+            ("power", "a", math.nan, "(0, 1)"),
+            ("neg_log_power", "r", math.inf, "(0, 170.624)"),
+            ("neg_log_power", "r", 200, "(0, 170.624)"),
+            ("neg_log_power", "r", _R_MAX, "(0, 170.624)"),
+        ],
+        ids=lambda value: "10**400" if value == 10**400 else None,
+    )
+    def test_values_outside_the_open_range(self, name, key, value, bounds):
+        message = (
+            f"catalog density {name!r} parameter {key} must lie in {bounds}, "
+            f"got {value!r}"
+        )
+        with pytest.raises(ConfigError) as info:
+            analytic_catalog(name, {key: value})
+        assert str(info.value) == message
+
+    def test_missing_parameter_names_its_range(self):
+        with pytest.raises(ConfigError) as info:
+            analytic_catalog("neg_log_power")
+        assert str(info.value) == (
+            "catalog density 'neg_log_power' needs a parameter r in (0, 170.624)"
+        )
+
+    def test_r_max_is_where_the_normalization_overflows(self):
+        below = math.nextafter(_R_MAX, 0.0)
+        assert math.isfinite(analytic_catalog("neg_log_power", {"r": below}).normalization)
+        with pytest.raises(OverflowError):
+            math.exp(log_gamma(1.0 + _R_MAX))
+
 
 class TestCornerDensity:
     def test_domain_must_anchor_at_zero(self):
@@ -129,6 +168,52 @@ class TestCornerDensity:
 
 
 class TestGenialEntropy:
+    # G of each sequence by the exact finite sum, pinned bit for bit
+    STEP_VALUES = [
+        ([2.0, 1.0], "0x1.65343dadc38aep-3"),
+        ([5.0, 2.0, 1.0], "0x1.428ca570dbc1cp-2"),
+        ([3.0, 3.0, 3.0], "0x0.0p+0"),
+        ([1e300, 1.0, 1e-300], "0x0.0p+0"),
+        ([0.7, 0.5, 0.5, 0.2, 0.01], "0x1.c68c55ba8e0dcp-3"),
+        ([4.0, 1.0, 0.25, 0.0625, 0.015625], "0x1.6f20c46055270p-2"),
+    ]
+
+    @pytest.mark.parametrize("row", _ENTROPY_DENSITIES, ids=repr)
+    def test_catalog_entropy_is_the_slide_function_at_one(self, row):
+        density = analytic_catalog(*row)
+        assert genial_entropy(density) == slide_function(density, 1.0).value
+
+    def test_step_entropy_is_the_slide_function_at_one(self, rng):
+        for d, expected in self.STEP_VALUES:
+            density = CornerDensity.from_distances(d)
+            assert genial_entropy(density) == float.fromhex(expected)
+        for _ in range(50):
+            d = random_descending(rng, int(rng.integers(2, 300)))
+            density = CornerDensity.from_distances(d)
+            g = genial_entropy(density)
+            assert g == slide_function(density, 1.0).value
+            assert g == _slide_curve(d)(1.0).value
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("power", {"a": 1e-50}),
+            ("power", {"a": 1e-300}),
+            ("power", {"a": 0.03}),
+            ("neg_log_power", {"r": 50.0}),
+        ],
+        ids=str,
+    )
+    def test_unresolvable_mass_diverges(self, name, params):
+        # nearly all of the mass sits where the quadrature cannot resolve it
+        with pytest.raises(DivergenceError):
+            genial_entropy(analytic_catalog(name, params))
+
+    def test_vanishing_mass_is_not_an_entropy(self):
+        # the stated normalization 1 is false: the density has no mass
+        with pytest.raises(ValueError, match="nonnegativity"):
+            genial_entropy(CornerDensity(lambda x: 0.0, Interval(0.0, 1.0), 1.0))
+
     def test_step_entropy_matches_quadrature(self, rng):
         d = random_descending(rng, 9)
         step = CornerDensity.from_distances(d)

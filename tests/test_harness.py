@@ -103,6 +103,18 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"{name} must be an integer"):
                 small_config(**{name: flag})
 
+    def test_numpy_integers_in_the_process_spec(self):
+        plain = small_config(process=ProcessSpec("uniform_cube", {"dim": 2}, seed=3))
+        spec = ProcessSpec("uniform_cube", {"dim": np.int64(2)}, seed=np.int64(3))
+        assert type(spec.params["dim"]) is int and type(spec.seed) is int
+        report = run_experiment(small_config(process=spec))
+        assert emit_report(report) == emit_report(run_experiment(plain))
+        for bad in ({"dim": np.True_}, {"dim": np.float64(2.0)}):
+            with pytest.raises(ConfigError, match="uniform_cube needs an integer dim"):
+                ProcessSpec("uniform_cube", bad)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            ProcessSpec("normal", seed=np.int64(-1))
+
     def test_repeated_statistic_kind(self):
         with pytest.raises(ConfigError):
             small_config(

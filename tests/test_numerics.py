@@ -80,6 +80,11 @@ class TestIntegrate:
         with pytest.raises(DivergenceError):
             integrate(lambda x: (0.25 / math.sqrt(x)) ** 2.0, UNIT)
 
+    def test_node_on_a_pole_is_an_infinite_value(self):
+        # the Kronrod centre of [0, 1] is exactly 0.5, where this divides by 0
+        with pytest.raises(DivergenceError):
+            integrate(lambda x: 1.0 / (x - 0.5), UNIT)
+
     def test_budget_exhaustion(self):
         wiggly = lambda x: math.sin(1000.0 * x)
         with pytest.raises(DivergenceError):
@@ -171,18 +176,11 @@ class TestRightDerivatives:
         ests = right_derivatives(math.exp, 2, tol=1e-3)
         assert all(est.reliable for est in ests)
 
-    def test_span_shrinks_step(self):
-        ests = right_derivatives(math.exp, 1, span=0.004)
-        assert ests[0].step <= 0.001
-        assert ests[0].value == pytest.approx(1.0, abs=1e-8)
-
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             right_derivatives(math.exp, 0)
         with pytest.raises(ValueError):
             right_derivatives(math.exp, 5)
-        with pytest.raises(ValueError):
-            right_derivatives(math.exp, 1, span=-1.0)
 
     def test_estimate_is_frozen(self):
         est = right_derivatives(math.exp, 1)[0]
