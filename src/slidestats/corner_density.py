@@ -32,7 +32,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .geometry import as_descending
+from .geometry import _rank_weights, as_descending
 from .numerics import (
     EULER_GAMMA,
     Interval,
@@ -195,10 +195,13 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     With ``x_r = t ln(d_r / d_1)``, ``q = exp(x)``, ``Q = sum(q)`` and the
     centred rank weights ``c_r = ln(n) + (r-1) ln(r-1) - r ln(r)``, which sum
     to zero, the exact finite sum ``sum_r xlogx((r-1) p_r) - xlogx(r p_r)``
-    over ``p = q / Q`` equals ``(q.c - q.x) / Q + ln(Q / n)``.  The curve
-    holds three arrays of ``n`` floats: the logs, its own weights and one
-    work buffer, which every ``t`` reuses for ``x`` and then ``q``, at the
-    cost of one ``expm1`` and three dot products, with ``q.x = t q.ell``.
+    over ``p = q / Q`` equals ``(q.c - q.x) / Q + ln(Q / n)``.  The weights
+    come from :func:`slidestats.geometry._rank_weights`, so inside
+    :func:`slidestats.geometry.shared_rank_weights` the curve reads the
+    closed forms' array and holds two arrays of ``n`` floats of its own: the
+    logs and one work buffer, which every ``t`` reuses for ``x`` and then
+    ``q``, at the cost of one ``expm1`` and three dot products, with
+    ``q.x = t q.ell``.  Outside that scope it builds the weights as a third.
 
     While every ``|x_r| <= 1`` the sum runs on ``e = q - 1``: there
     ``q.c = e.c``, ``q.x = e.x + t sum(ell)`` and ``ln(Q / n) =
@@ -208,7 +211,9 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     summed; both forms round at about ``eps ln(n)`` where they meet.
     """
     n = values.size
-    log_n = math.log(n)
+    # fetched first, so that building unshared weights peaks before the logs
+    # and the work buffer exist
+    weights = _rank_weights(n)
     # numpy's log can round a strided view and a contiguous copy differently
     # in the last bit; taking it on contiguous values makes the curve
     # independent of memory layout (no copy for contiguous input).
@@ -219,10 +224,6 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     ell_sum = float(ell.sum())
     depth = -float(ell[-1])  # largest |ell_r|
     work = np.empty(n)
-    g = np.arange(n + 1.0)
-    g[1:] *= np.log(g[1:], out=work)  # g_r = r ln(r), so g_0 = g_1 = 0
-    np.subtract(g[1:], g[:-1], out=work)
-    weights = np.subtract(log_n, work, out=g[1:])
 
     def sigma(t: float) -> SlideFunctionEvaluation:
         if t < 0.0:

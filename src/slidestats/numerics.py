@@ -99,8 +99,9 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     """Return the Kronrod-15 estimate on [lo, hi] and |K15 - G7| as its error.
 
     All nodes are strictly interior, so integrable endpoint singularities are
-    never evaluated directly.  A non-finite integrand value makes the error
-    infinite, which forces refinement toward the offending point.
+    never evaluated directly.  A non-finite integrand value, or sums that
+    overflow to ``inf - inf``, make the error infinite, which forces
+    refinement toward the offending point.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -127,7 +128,8 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
                 gauss += _WG[i // 2] * pair
     if not finite:
         return math.nan, math.inf
-    return half * kronrod, half * abs(kronrod - gauss)
+    err = half * abs(kronrod - gauss)
+    return half * kronrod, math.inf if math.isnan(err) else err
 
 
 def integrate(
@@ -195,6 +197,12 @@ def integrate(
             counter += 1
             heapq.heappush(segments, (-he, counter, half_lo, half_hi, hv, he))
             total_err += he
+        if not math.isfinite(total_err):
+            # popping an infinite error leaves inf - inf.  The heap's worst
+            # error is infinite while any is; only once none is, re-sum.
+            total_err = segments[0][5]
+            if total_err < math.inf:
+                total_err = math.fsum(s[5] for s in segments)
     else:
         worst = max(segments, key=lambda s: s[5])
         raise DivergenceError(

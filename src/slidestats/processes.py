@@ -13,7 +13,6 @@ cos_iteration and primes are deterministic and ignore the stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -36,6 +35,7 @@ __all__ = [
 GENERATOR_NAME = "Philox"
 
 _SIERPINSKI_BURN_IN = 100
+_CHAOS_CHUNK = 512
 _CANTOR_DIGITS = 40
 
 
@@ -116,18 +116,26 @@ def _gen_cantor(rng, k, params):
 
 def _gen_sierpinski(rng, k, params):
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
-    targets = vertices[rng.integers(0, 3, size=k + _SIERPINSKI_BURN_IN)]
-    start = vertices.mean(axis=0).tolist()
-    out = np.empty((k, 2))
-    # The chaos game y_i = (y_{i-1} + v_i) / 2 runs per coordinate over Python
-    # floats, which round exactly as the same steps on numpy vectors do; the
-    # start point and the burn-in points are dropped.
-    for j in range(2):
-        path = itertools.accumulate(
-            targets[:, j].tolist(), lambda y, v: 0.5 * (y + v), initial=start[j]
-        )
-        out[:, j] = list(path)[_SIERPINSKI_BURN_IN + 1 :]
-    return out
+    path = vertices[rng.integers(0, 3, size=k + _SIERPINSKI_BURN_IN)]
+    # The chaos game y_i = (y_{i-1} + v_i) / 2 runs as cumulative sums over
+    # chunks of the targets: from the point s before a chunk, its i-th step
+    # (from 0) is 2^(i+1) y_i = s + sum_{h <= i} 2^h v_h.  Scaling by a power
+    # of two is exact, so each partial sum rounds exactly as the sequential
+    # step does, and the chunk length keeps 2^i far from overflow.  The path
+    # overwrites the targets, and its burn-in points are dropped.
+    steps = np.arange(_CHAOS_CHUNK)
+    up = np.ldexp(1.0, steps)[:, None]  # 2^i
+    down = np.ldexp(1.0, -steps - 1)[:, None]  # 2^-(i+1)
+    y = vertices.mean(axis=0)
+    for lo in range(0, path.shape[0], _CHAOS_CHUNK):
+        chunk = path[lo : lo + _CHAOS_CHUNK]
+        m = chunk.shape[0]
+        np.multiply(chunk, up[:m], out=chunk)
+        chunk[0] += y
+        np.cumsum(chunk, axis=0, out=chunk)
+        np.multiply(chunk, down[:m], out=chunk)
+        y = chunk[-1]
+    return path[_SIERPINSKI_BURN_IN:]
 
 
 def _gen_circle(rng, k, params):

@@ -19,8 +19,6 @@ distance by a positive constant leaves the results unchanged to rounding.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -35,13 +33,17 @@ from .corner_density import (  # noqa: F401
 )
 from .errors import ConfigError, DuplicatePointError
 from .geometry import (
+    _BLOCK,
     PAIRWISE_CAP,
     DescendingDistances,
     PointSet,
+    _rank_weights,
     as_descending,
     distinct_nearest,
     nn_distances,
     pairwise_distances,
+    share_rank_weights,
+    shared_rank_weights,
 )
 from .numerics import DerivativeEstimate, right_derivatives
 
@@ -69,87 +71,6 @@ MAX_NUMERIC_ORDER = 4
 
 # Default reliability thresholds for the differentiation oracle, by order.
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
-
-
-# The kernels over n distances run in blocks of this many values, so the
-# memory they take beyond their input and one array of rank weights does not
-# grow with n, and each block's buffers stay in cache between passes.
-_BLOCK = 1 << 14
-
-# The rank weights shared by size, or None outside shared_rank_weights().
-_SHARED_WEIGHTS: ContextVar[dict[int, np.ndarray] | None] = ContextVar(
-    "shared_rank_weights", default=None
-)
-
-
-@contextmanager
-def shared_rank_weights() -> Iterator[None]:
-    """Within the block, build the rank weights once per size and share them.
-
-    Every replicate of an experiment has the same distance counts, so
-    :func:`slidestats.harness.run_experiment` runs its replicates inside one
-    block.  The arrays are released when the outermost block exits; an inner
-    block keeps the outer one's arrays.
-    """
-    if _SHARED_WEIGHTS.get() is not None:
-        yield
-        return
-    token = _SHARED_WEIGHTS.set({})
-    try:
-        yield
-    finally:
-        _SHARED_WEIGHTS.reset(token)
-
-
-def share_rank_weights() -> None:
-    """Share the rank weights as :func:`shared_rank_weights` does, for good.
-
-    For a process that serves one experiment and exits with it, such as a
-    pool worker of :func:`slidestats.harness.run_experiment`.
-    """
-    if _SHARED_WEIGHTS.get() is None:
-        _SHARED_WEIGHTS.set({})
-
-
-def _rank_weights(n: int) -> np.ndarray:
-    """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``, read-only.
-
-    They decrease in ``r`` and sum to zero.  Inside
-    :func:`shared_rank_weights` one array per size is built and every caller
-    shares it; outside, each call builds its own, so nothing outlives the
-    statistics that asked for it.  The build writes block by block straight
-    into the result, holding ``8 n`` bytes plus three buffers of at most
-    ``_BLOCK + 1`` floats.
-    """
-    shared = _SHARED_WEIGHTS.get()
-    weights = None if shared is None else shared.get(n)
-    if weights is None:
-        weights = _build_rank_weights(n)
-        if shared is not None:
-            shared[n] = weights
-    return weights
-
-
-def _build_rank_weights(n: int) -> np.ndarray:
-    weights = np.empty(n)
-    log_n = math.log(n)
-    size = min(n, _BLOCK) + 1
-    offsets = np.arange(float(size))
-    ranks = np.empty(size)
-    g = np.empty(size)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        r, g_r = ranks[: hi - lo + 1], g[: hi - lo + 1]
-        np.add(offsets[: r.size], lo, out=r)  # ranks lo..hi, exact in float
-        if lo == 0:
-            r[0] = 1.0  # so that g_0 = 1 ln(1) = 0
-        np.log(r, out=g_r)
-        np.multiply(g_r, r, out=g_r)  # g_r = r ln(r)
-        block = weights[lo:hi]
-        np.subtract(g_r[1:], g_r[:-1], out=block)
-        np.subtract(log_n, block, out=block)
-    weights.flags.writeable = False
-    return weights
 
 
 def _log_ratio_blocks(

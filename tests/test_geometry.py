@@ -257,6 +257,20 @@ class TestTreeOrderQuery:
         plain = cKDTree(coords).query(coords, k=2)[0][:, 1]
         self.assert_bitwise(PointSet.from_coords(coords), plain)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "n", [2, 3, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]
+    )
+    def test_block_wise_query_matches_one_query(self, m, n):
+        # the points are queried 2^16 at a time, so these sizes end a block
+        # just short of, at and just past its end
+        coords = np.random.default_rng(n + m).random((n, m))
+        coords[1::5] = coords[0::5][: coords[1::5].shape[0]]  # duplicated rows
+        one_query = cKDTree(coords).query(coords, k=2)[0][:, 1]
+        self.assert_bitwise(
+            PointSet.from_coords(coords), one_query, allow_duplicates=True
+        )
+
 
 class TestPairwise:
     def test_hand_example(self):

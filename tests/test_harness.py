@@ -29,7 +29,7 @@ from slidestats import (
     render_reports,
     run_experiment,
 )
-from slidestats import harness, slide_stats
+from slidestats import geometry, harness
 
 
 def small_config(**overrides):
@@ -237,14 +237,14 @@ class TestRunExperiment:
 
     def test_rank_weights_released_after_run(self, monkeypatch):
         built = []
-        original = slide_stats._build_rank_weights
+        original = geometry._build_rank_weights
 
         def recording(n):
             weights = original(n)
             built.append(weakref.ref(weights))
             return weights
 
-        monkeypatch.setattr(slide_stats, "_build_rank_weights", recording)
+        monkeypatch.setattr(geometry, "_build_rank_weights", recording)
         run_experiment(small_config(statistics=(StatisticRequest("assembly", (1,)),)))
         assert len(built) == 1 and built[0]() is None
         monkeypatch.setattr(harness, "generate", generate_failing_at_stream_3)
@@ -255,14 +255,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rank_weights_built_once_per_size(self, monkeypatch, tmp_path, workers):
         log = tmp_path / "builds"
-        original = slide_stats._build_rank_weights
+        original = geometry._build_rank_weights
 
         def logging_build(n):  # appends from every worker process
             with open(log, "a") as handle:
                 handle.write(f"{os.getpid()} {n}\n")
             return original(n)
 
-        monkeypatch.setattr(slide_stats, "_build_rank_weights", logging_build)
+        monkeypatch.setattr(geometry, "_build_rank_weights", logging_build)
         statistics = (
             StatisticRequest("slide", (1, 2)),
             StatisticRequest("assembly", (1,)),

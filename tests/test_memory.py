@@ -1,12 +1,17 @@
 """Working memory of the distance kernels, and the scope of the rank weights.
 
 Every extraction and kernel holds at most two arrays of ``n`` floats beyond
-its input; the oracle's slide curve holds three (its weights, the logs and
-one work buffer).  tracemalloc measures each stage's peak on 2·10^5
-distances.  Outside :func:`shared_rank_weights` no rank weights outlive the
-call that built them.
+its input.  The k-d tree extraction of 2-D and 3-D points adds one query
+block: the copy of its points, their distances and their indices (the
+tree's nodes are allocated in C++, which tracemalloc does not see).  The
+oracle's slide curve holds two (the logs and one work buffer) once the rank
+weights are shared, and builds the weights as a third outside that scope.
+tracemalloc measures each stage's peak on 2·10^5 points or distances.
+Outside :func:`shared_rank_weights` no rank weights outlive the call that
+built them.
 """
 
+import inspect
 import tracemalloc
 import weakref
 
@@ -21,7 +26,7 @@ from slidestats import (
     point_statistics,
     slide_numbers,
 )
-from slidestats import slide_stats
+from slidestats import geometry
 from slidestats.corner_density import _slide_curve
 from slidestats.slide_stats import (
     _closed_forms,
@@ -36,14 +41,24 @@ ARRAY = 8 * N
 SLACK = 64 * 1024
 
 
+def query_block(m):
+    """Bytes of one k-d tree query block of m-dimensional points.
+
+    The block's copy of its points, and its distances and int64 indices.
+    """
+    return (m + 2) * 8 * geometry._QUERY_BLOCK
+
+
 @pytest.fixture(scope="module")
 def points():
-    return PointSet.from_coords(np.random.default_rng(0).random((N, 1)))
+    """Uniform point sets of N points, by dimension."""
+    rng = np.random.default_rng(0)
+    return {m: PointSet.from_coords(rng.random((N, m))) for m in (1, 2, 3)}
 
 
 @pytest.fixture(scope="module")
 def distances(points):
-    return nn_distances(points)
+    return nn_distances(points[1])
 
 
 def peak_bytes(stage):
@@ -62,33 +77,51 @@ def evaluate_curve(d):
         curve(t)
 
 
+# Each stage with its bound in bytes beyond SLACK.
 STAGES = {
-    "nn_1d": (lambda points, d: nn_distances(points), 2),
-    "weights": (lambda points, d: _rank_weights(N), 2),
-    "closed_forms_1_2": (lambda points, d: _closed_forms(d, 2), 2),
-    "closed_forms_1_4": (lambda points, d: _closed_forms(d, 4), 2),
-    "level": (lambda points, d: level_derivatives(d, 4), 2),
-    "oracle_curve": (lambda points, d: evaluate_curve(d), 3),
+    "nn_1d": (lambda points, d: nn_distances(points[1]), 2 * ARRAY),
+    "nn_2d": (lambda points, d: nn_distances(points[2]), 2 * ARRAY + query_block(2)),
+    "nn_3d": (lambda points, d: nn_distances(points[3]), 2 * ARRAY + query_block(3)),
+    "weights": (lambda points, d: _rank_weights(N), 2 * ARRAY),
+    "closed_forms_1_2": (lambda points, d: _closed_forms(d, 2), 2 * ARRAY),
+    "closed_forms_1_4": (lambda points, d: _closed_forms(d, 4), 2 * ARRAY),
+    "level": (lambda points, d: level_derivatives(d, 4), 2 * ARRAY),
+    "oracle_curve": (lambda points, d: evaluate_curve(d), 3 * ARRAY),
 }
 
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_peak_is_bounded(points, distances, stage):
-    run, arrays = STAGES[stage]
-    assert peak_bytes(lambda: run(points, distances)) <= arrays * ARRAY + SLACK
+    run, bound = STAGES[stage]
+    assert peak_bytes(lambda: run(points, distances)) <= bound + SLACK
+
+
+def test_oracle_curve_with_shared_weights_holds_two_arrays(distances):
+    with shared_rank_weights():
+        _rank_weights(N)
+        peak = peak_bytes(lambda: evaluate_curve(distances))
+    assert peak <= 2 * ARRAY + SLACK
+
+
+def test_curve_shares_the_closed_forms_weights(distances):
+    with shared_rank_weights():
+        _closed_forms(distances, 2)
+        curve = _slide_curve(distances.values)
+        weights = inspect.getclosurevars(curve).nonlocals["weights"]
+        assert weights is _rank_weights(N)
 
 
 def record_builds(monkeypatch):
     """Weak references to every rank-weight array built from now on, by size."""
     built = []
-    original = slide_stats._build_rank_weights
+    original = geometry._build_rank_weights
 
     def recording(n):
         weights = original(n)
         built.append((n, weakref.ref(weights)))
         return weights
 
-    monkeypatch.setattr(slide_stats, "_build_rank_weights", recording)
+    monkeypatch.setattr(geometry, "_build_rank_weights", recording)
     return built
 
 

@@ -85,6 +85,17 @@ class TestIntegrate:
         with pytest.raises(DivergenceError):
             integrate(lambda x: 1.0 / (x - 0.5), UNIT)
 
+    def test_infinite_value_at_one_node_is_refined_away(self):
+        # only the Kronrod centre of [0, 1] hits the infinite value; once it is
+        # bisected away the total error must be finite again
+        assert integrate(lambda x: math.inf if x == 0.5 else 1.0, UNIT) == 1.0
+
+    def test_divergence_message_has_no_nan(self):
+        # near 0 the sums of 1 / x overflow, and inf - inf is an infinite error
+        with pytest.raises(DivergenceError, match="total inf") as info:
+            integrate(lambda x: 1.0 / x, UNIT)
+        assert "nan" not in str(info.value)
+
     def test_budget_exhaustion(self):
         wiggly = lambda x: math.sin(1000.0 * x)
         with pytest.raises(DivergenceError):

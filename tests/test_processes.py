@@ -1,5 +1,6 @@
 """Point process generators: determinism, distributional sanity, primes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,21 @@ from slidestats import (
     process_kinds,
     substream,
 )
+from slidestats.processes import _gen_sierpinski
+
+
+def sequential_sierpinski(rng, k):
+    """The chaos game one step at a time, as a reference for the chunked one."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
+    targets = vertices[rng.integers(0, 3, size=k + 100)]
+    start = vertices.mean(axis=0).tolist()
+    out = np.empty((k, 2))
+    for j in range(2):
+        path = itertools.accumulate(
+            targets[:, j].tolist(), lambda y, v: 0.5 * (y + v), initial=start[j]
+        )
+        out[:, j] = list(path)[101:]
+    return out
 
 
 class TestSpecValidation:
@@ -113,6 +129,16 @@ class TestGeometry:
             digit = np.floor(3.0 * x)
             assert not np.any(digit == 1.0)
             x = 3.0 * x - digit
+
+    @pytest.mark.parametrize(
+        "k", [1, 2, 3, 411, 412, 413, 923, 924, 925, 1000, 4096, 10**4]
+    )
+    def test_sierpinski_matches_sequential_chaos_game(self, k):
+        # k + 100 burn-in steps fill whole chunks of 512 at k = 412 and 924
+        for seed in range(5):
+            got = _gen_sierpinski(RandomStream(seed).generator(), k, {})
+            expected = sequential_sierpinski(RandomStream(seed).generator(), k)
+            assert np.array_equal(got, expected)
 
     def test_sierpinski_in_triangle(self):
         points = generate(ProcessSpec("sierpinski", seed=4), 500)
