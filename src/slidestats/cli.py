@@ -463,7 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--orders", default=None, help="comma separated orders (default 1,2)"
     )
-    simulate.add_argument("--workers", type=int, default=None)
+    simulate.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="threads that run the replicates (default 1); reports do not change",
+    )
     simulate.add_argument("--pairwise-cap", type=int, default=None)
     simulate.add_argument("--tol", type=float, default=None)
     simulate.add_argument("--no-cross-check", action="store_true")

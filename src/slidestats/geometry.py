@@ -19,13 +19,12 @@ finiteness, sign and zeros.
 The rank weights ``c_r`` of a sequence of ``n`` distances depend on ``n``
 alone.  :func:`_rank_weights` is their one builder, read by the closed
 forms, the level numbers and the oracle's slide curve, and
-:func:`shared_rank_weights` scopes one shared array per size.
+:func:`shared_rank_weights` scopes one shared array per size, which the
+pool threads of one experiment share as well.
 
 scipy is loaded only where it is used: :func:`load_spatial` imports
 ``scipy.spatial`` on the first k-d tree or Euclidean ``pdist``, so the 1-d
 sort, the callable-metric scans and the rest of the package never load it.
-:func:`slidestats.harness.run_experiment` calls it once before it starts a
-process pool, so forked workers inherit the loaded modules.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "load_spatial",
     "nn_distances",
     "pairwise_distances",
-    "share_rank_weights",
     "shared_rank_weights",
 ]
 
@@ -155,7 +153,9 @@ def shared_rank_weights() -> Iterator[None]:
     Every replicate of an experiment has the same distance counts, so
     :func:`slidestats.harness.run_experiment` runs its replicates inside one
     block.  The arrays are released when the outermost block exits; an inner
-    block keeps the outer one's arrays.
+    block keeps the outer one's arrays.  A context copied inside the block
+    (``contextvars.copy_context``) shares them too, which is how that
+    function's pool threads read them.
     """
     if _SHARED_WEIGHTS.get() is not None:
         yield
@@ -167,16 +167,6 @@ def shared_rank_weights() -> Iterator[None]:
         _SHARED_WEIGHTS.reset(token)
 
 
-def share_rank_weights() -> None:
-    """Share the rank weights as :func:`shared_rank_weights` does, for good.
-
-    For a process that serves one experiment and exits with it, such as a
-    pool worker of :func:`slidestats.harness.run_experiment`.
-    """
-    if _SHARED_WEIGHTS.get() is None:
-        _SHARED_WEIGHTS.set({})
-
-
 def _rank_weights(n: int) -> np.ndarray:
     """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``, read-only.
 
@@ -184,7 +174,9 @@ def _rank_weights(n: int) -> np.ndarray:
     numbers and the oracle's slide curve all read them from here.  Inside
     :func:`shared_rank_weights` one array per size is built and every caller
     shares it; outside, each call builds its own, so nothing outlives the
-    statistics that asked for it.  The build writes block by block straight
+    statistics that asked for it.  Threads that miss one size at the same
+    time each build it, and all of them keep the array stored first; no
+    thread builds a size twice.  The build writes block by block straight
     into the result, holding ``8 n`` bytes plus three buffers of at most
     ``_BLOCK + 1`` floats.
     """
@@ -193,7 +185,7 @@ def _rank_weights(n: int) -> np.ndarray:
     if weights is None:
         weights = _build_rank_weights(n)
         if shared is not None:
-            shared[n] = weights
+            weights = shared.setdefault(n, weights)
     return weights
 
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextvars import copy_context
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -27,8 +28,15 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DuplicatePointError, ParseError
-from .geometry import PAIRWISE_CAP, PointSet, load_spatial
-from .processes import GENERATOR_NAME, ProcessSpec, _as_int, generate, substream
+from .geometry import PAIRWISE_CAP, PointSet
+from .processes import (
+    GENERATOR_NAME,
+    ProcessSpec,
+    _as_int,
+    _ignores_stream,
+    generate,
+    substream,
+)
 # slide_numbers, assembly_numbers and level_numbers are no longer called here,
 # but perfbench/run.py hooks these module attributes.
 from .slide_stats import (  # noqa: F401
@@ -39,7 +47,6 @@ from .slide_stats import (  # noqa: F401
     dimension_estimates,
     level_numbers,
     point_statistics,
-    share_rank_weights,
     shared_rank_weights,
     slide_numbers,
     statistic_kind,
@@ -302,25 +309,53 @@ def _point_statistics(config: ExperimentConfig, points: PointSet) -> dict[str, f
 
 
 def _replicate_outcome(
-    config: ExperimentConfig, replicate: int
+    config: ExperimentConfig, replicate: int, fixed: PointSet | None
 ) -> dict[str, float] | FailedReplicate:
+    """Statistics of one replicate, retried on coincident points.
+
+    ``fixed`` is the point set of a deterministic kind, drawn once per
+    experiment; otherwise each attempt draws from its own substream.
+    """
     last_error = "unknown"
     for attempt in range(_MAX_ATTEMPTS):
         index = attempt * _ATTEMPT_STRIDE + replicate
-        stream = substream(config.master_seed, index)
         try:
-            points = generate(config.process, config.sample_size, stream=stream)
+            points = fixed
+            if points is None:
+                stream = substream(config.master_seed, index)
+                points = generate(config.process, config.sample_size, stream=stream)
             return _point_statistics(config, points)
         except DuplicatePointError as exc:
             last_error = str(exc)
         except Exception as exc:
-            # Name the failing draw; the note survives pickling from a worker.
-            # Appending to __notes__ is what BaseException.add_note does on
-            # Python 3.11+, and it also works on 3.10.
-            note = f"replicate {replicate}, attempt {attempt}, substream {index}"
-            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            _name_draw(exc, replicate, attempt)
             raise
     return FailedReplicate(replicate, _MAX_ATTEMPTS, last_error)
+
+
+def _name_draw(exc: Exception, replicate: int, attempt: int) -> None:
+    # Appending to __notes__ is what BaseException.add_note does on Python
+    # 3.11+, and it also works on 3.10.
+    index = attempt * _ATTEMPT_STRIDE + replicate
+    note = f"replicate {replicate}, attempt {attempt}, substream {index}"
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
+def _fixed_points(config: ExperimentConfig) -> PointSet | None:
+    """The one point set of a kind that ignores its stream, or None.
+
+    Every replicate and retry of such a kind would draw the same points, so
+    they are drawn once; a failure is named as replicate 0's first draw.
+    """
+    if not _ignores_stream(config.process.kind):
+        return None
+    try:
+        return generate(
+            config.process, config.sample_size, stream=substream(config.master_seed, 0)
+        )
+    except Exception as exc:
+        _name_draw(exc, 0, 0)
+        raise
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -328,33 +363,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Deterministic for a given config, independent of the worker count;
     tangibility is judged on the aggregate slide means when order 1 and at
-    least one higher order were requested.
+    least one higher order were requested.  With ``workers > 1`` the
+    replicates run on that many threads of this process: their kernels
+    release the GIL.
     """
-    # The replicates share one array of rank weights per size, serially and
-    # in each pool worker, and none outlives the run: at the default pairwise
-    # cap one size holds about 100 MB.
-    if config.workers == 1:
-        with shared_rank_weights():
+    fixed = _fixed_points(config)
+    # The replicates share one array of rank weights per size, and none
+    # outlives the run: at the default pairwise cap one size holds about
+    # 100 MB.  A pool thread starts with an empty context, so each task runs
+    # in its own copy of this one, which holds the same shared arrays.
+    with shared_rank_weights():
+        if config.workers == 1:
             outcomes = [
-                _replicate_outcome(config, r) for r in range(config.replicates)
+                _replicate_outcome(config, r, fixed) for r in range(config.replicates)
             ]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-        # Forked workers inherit scipy.spatial instead of each importing it.
-        load_spatial()
-        chunk = max(1, config.replicates // (4 * config.workers))
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=share_rank_weights
-        ) as pool:
-            outcomes = list(
-                pool.map(
-                    _replicate_outcome,
-                    repeat(config),
-                    range(config.replicates),
-                    chunksize=chunk,
+            contexts = [copy_context() for _ in range(config.replicates)]
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                outcomes = list(
+                    pool.map(
+                        lambda context, r: context.run(
+                            _replicate_outcome, config, r, fixed
+                        ),
+                        contexts,
+                        range(config.replicates),
+                    )
                 )
-            )
     failures = tuple(o for o in outcomes if isinstance(o, FailedReplicate))
     successes = [o for o in outcomes if not isinstance(o, FailedReplicate)]
     per_replicate: dict[str, tuple[float, ...]] = {}

@@ -8,7 +8,7 @@ which makes replicates independent of each other and of how work is
 scheduled across workers.
 
 Random kinds cover the distributions used in the simulation studies;
-cos_iteration and primes are deterministic and ignore the stream.
+cos_iteration, primes and from_file are deterministic and ignore the stream.
 """
 
 from __future__ import annotations
@@ -189,27 +189,33 @@ def _gen_from_file(rng, k, params):
     return points.coords[:k]
 
 
-_KINDS: dict[str, tuple[Any, set[str]]] = {
-    "uniform_cube": (_gen_uniform_cube, {"dim"}),
-    "normal": (_gen_normal, set()),
-    "bivariate_normal": (_gen_bivariate_normal, set()),
-    "exponential": (_gen_exponential, set()),
-    "log_uniform": (_gen_log_uniform, set()),
-    "inv_sqrt": (_gen_inv_sqrt, set()),
-    "cantor": (_gen_cantor, set()),
-    "sierpinski": (_gen_sierpinski, set()),
-    "circle": (_gen_circle, set()),
-    "disk": (_gen_disk, set()),
-    "disk_uniform": (_gen_disk_uniform, set()),
-    "cos_iteration": (_gen_cos_iteration, set()),
-    "primes": (_gen_primes, set()),
-    "from_file": (_gen_from_file, {"path", "format"}),
+# kind: (builder, accepted parameters, whether the builder reads the stream)
+_KINDS: dict[str, tuple[Any, set[str], bool]] = {
+    "uniform_cube": (_gen_uniform_cube, {"dim"}, True),
+    "normal": (_gen_normal, set(), True),
+    "bivariate_normal": (_gen_bivariate_normal, set(), True),
+    "exponential": (_gen_exponential, set(), True),
+    "log_uniform": (_gen_log_uniform, set(), True),
+    "inv_sqrt": (_gen_inv_sqrt, set(), True),
+    "cantor": (_gen_cantor, set(), True),
+    "sierpinski": (_gen_sierpinski, set(), True),
+    "circle": (_gen_circle, set(), True),
+    "disk": (_gen_disk, set(), True),
+    "disk_uniform": (_gen_disk_uniform, set(), True),
+    "cos_iteration": (_gen_cos_iteration, set(), False),
+    "primes": (_gen_primes, set(), False),
+    "from_file": (_gen_from_file, {"path", "format"}, False),
 }
 
 
 def process_kinds() -> list[str]:
     """Names of the available process kinds."""
     return sorted(_KINDS)
+
+
+def _ignores_stream(kind: str) -> bool:
+    """Whether every draw of ``kind`` gives the same points, whatever the stream."""
+    return not _KINDS[kind][2]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .geometry import (
     distinct_nearest,
     nn_distances,
     pairwise_distances,
-    share_rank_weights,
     shared_rank_weights,
 )
 from .numerics import DerivativeEstimate, right_derivatives
@@ -60,7 +59,6 @@ __all__ = [
     "psi1",
     "psi2_conjectured",
     "psi_numeric",
-    "share_rank_weights",
     "shared_rank_weights",
     "slide_numbers",
     "statistic_kind",

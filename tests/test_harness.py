@@ -2,7 +2,8 @@
 
 import json
 import math
-import os
+import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -45,6 +46,26 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+ALL_KINDS = (
+    StatisticRequest("slide", (1, 2)),
+    StatisticRequest("assembly", (1,)),
+    StatisticRequest("level", (1, 2)),
+)
+
+
+def record_builds(monkeypatch):
+    """Log ``(thread, size)`` of every rank-weight build, from any thread."""
+    built = []
+    original = geometry._build_rank_weights
+
+    def logging_build(n):
+        built.append((threading.get_ident(), n))  # list.append is atomic
+        return original(n)
+
+    monkeypatch.setattr(geometry, "_build_rank_weights", logging_build)
+    return built
 
 
 def generate_failing_at_stream_3(spec, k, stream=None):
@@ -231,9 +252,14 @@ class TestRunExperiment:
         assert reseeded.to_dict()["config"]["process"]["seed"] == 99
 
     def test_worker_count_is_invisible(self):
-        serial = run_experiment(small_config(replicates=6))
-        pooled = run_experiment(small_config(replicates=6, workers=2))
-        assert serial.per_replicate == pooled.per_replicate
+        for replicates, workers in ((6, 2), (7, 3)):
+            serial = run_experiment(small_config(replicates=replicates))
+            pooled = run_experiment(
+                small_config(replicates=replicates, workers=workers)
+            )
+            assert serial.per_replicate == pooled.per_replicate
+            pooled.config = serial.config
+            assert emit_report(pooled) == emit_report(serial)
 
     def test_rank_weights_released_after_run(self, monkeypatch):
         built = []
@@ -253,33 +279,40 @@ class TestRunExperiment:
         assert len(built) == 2 and built[1]() is None
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_rank_weights_built_once_per_size(self, monkeypatch, tmp_path, workers):
-        log = tmp_path / "builds"
-        original = geometry._build_rank_weights
-
-        def logging_build(n):  # appends from every worker process
-            with open(log, "a") as handle:
-                handle.write(f"{os.getpid()} {n}\n")
-            return original(n)
-
-        monkeypatch.setattr(geometry, "_build_rank_weights", logging_build)
-        statistics = (
-            StatisticRequest("slide", (1, 2)),
-            StatisticRequest("assembly", (1,)),
-            StatisticRequest("level", (1, 2)),
-        )
-        run_experiment(small_config(replicates=6, workers=workers, statistics=statistics))
-        lines = log.read_text().splitlines()
-        builds = Counter(tuple(map(int, line.split())) for line in lines)
+    def test_rank_weights_built_once_per_size(self, monkeypatch, workers):
+        built = record_builds(monkeypatch)
+        config = small_config(replicates=6, workers=workers, statistics=ALL_KINDS)
+        run_experiment(config)
+        builds = Counter(built)
         assert set(builds.values()) == {1}
-        by_process = {}
-        for pid, n in builds:
-            by_process.setdefault(pid, set()).add(n)
-        assert all(sizes == {40, 40 * 39 // 2} for sizes in by_process.values())
+        sizes = Counter(n for _, n in builds)
+        assert set(sizes) == {40, 40 * 39 // 2}
+        assert max(sizes.values()) <= workers
+        threads = {thread for thread, _ in builds}
         if workers == 1:
-            assert set(by_process) == {os.getpid()}
+            assert threads == {threading.get_ident()}
         else:
-            assert os.getpid() not in by_process
+            assert threading.get_ident() not in threads
+
+    def test_pool_threads_under_contention(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter can.
+        built = record_builds(monkeypatch)
+        config = small_config(replicates=16, workers=4, statistics=ALL_KINDS)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.append(run_experiment(config))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(result) == 1
+        assert set(Counter(built).values()) == {1}
+        serial = run_experiment(small_config(replicates=16, statistics=ALL_KINDS))
+        assert result[0].per_replicate == serial.per_replicate
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_replicate_is_named(self, monkeypatch, workers):
@@ -318,6 +351,52 @@ class TestRunExperiment:
         assert len(report.failed_replicates) == 2
         assert all(f.attempts == 4 for f in report.failed_replicates)
         assert "coincid" in report.failed_replicates[0].error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_is_read_once_per_experiment(self, monkeypatch, tmp_path, workers):
+        path = tmp_path / "pts.csv"
+        np.savetxt(path, np.random.default_rng(5).random((60, 2)), delimiter=",")
+        calls = []
+
+        def counting_load(*args):
+            calls.append(args)
+            return load_points(*args)
+
+        monkeypatch.setattr(harness, "load_points", counting_load)
+        config = small_config(
+            process=ProcessSpec("from_file", {"path": str(path)}), workers=workers
+        )
+        report = run_experiment(config)
+        assert len(calls) == 1
+        assert len(report.per_replicate["slide:1"]) == 5
+
+    @pytest.mark.parametrize(
+        "kind, params", [("cos_iteration", {}), ("primes", {}), ("from_file", None)]
+    )
+    def test_deterministic_kinds_drawn_once_keep_the_report(
+        self, monkeypatch, tmp_path, kind, params
+    ):
+        if params is None:
+            path = tmp_path / "dup.csv"  # coincident points: every attempt fails
+            path.write_text("1.0,0.0\n1.0,0.0\n2.0,0.0\n0.5,3.0\n")
+            params = {"path": str(path)}
+        config = small_config(
+            process=ProcessSpec(kind, params), sample_size=4, replicates=3
+        )
+        once = emit_report(run_experiment(config))
+        monkeypatch.setattr(harness, "_ignores_stream", lambda kind: False)
+        assert once == emit_report(run_experiment(config))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deterministic_draw_failure_is_named(self, tmp_path, workers):
+        path = tmp_path / "short.csv"
+        path.write_text("0,0\n1,1\n")
+        config = small_config(
+            process=ProcessSpec("from_file", {"path": str(path)}), workers=workers
+        )
+        with pytest.raises(ConfigError, match="provides 2 points") as info:
+            run_experiment(config)
+        assert info.value.__notes__ == ["replicate 0, attempt 0, substream 0"]
 
     def test_uniform_square_values_are_sane(self):
         # rho_1 over the unit square sits near 1/2 already at n = 300.

@@ -18,7 +18,7 @@ from slidestats import (
     process_kinds,
     substream,
 )
-from slidestats.processes import _gen_sierpinski
+from slidestats.processes import _gen_sierpinski, _ignores_stream
 
 
 def sequential_sierpinski(rng, k):
@@ -88,6 +88,19 @@ class TestDeterminism:
         a = generate(spec, 64, substream(1, 0))
         b = generate(spec, 64, substream(2, 0))
         assert not np.array_equal(a.coords, b.coords)
+
+    @pytest.mark.parametrize("kind", process_kinds())
+    def test_stream_flag_matches_the_builder(self, tmp_path, kind):
+        # run_experiment draws a kind that ignores its stream only once.
+        params = {}
+        if kind == "from_file":
+            path = tmp_path / "pts.csv"
+            np.savetxt(path, np.random.default_rng(3).random((64, 2)), delimiter=",")
+            params = {"path": str(path)}
+        spec = ProcessSpec(kind, params)
+        a = generate(spec, 64, substream(11, 0))
+        b = generate(spec, 64, substream(12, 5))
+        assert np.array_equal(a.coords, b.coords) == _ignores_stream(kind)
 
     def test_stream_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-"""Start-up: scipy loads only with the first k-d tree or pdist, and before a fork.
+"""Start-up: scipy loads only with the first k-d tree or pdist.
 
 The pytest process has long imported ``scipy.spatial`` through other test
 modules, so each check runs in a fresh interpreter.
 """
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -63,39 +62,3 @@ def test_scipy_loads_with_the_first_euclidean_extraction(tmp_path, extraction):
     line_file = tmp_path / "line.csv"
     line_file.write_text("".join(f"{x * x}\n" for x in range(20)))
     run_fresh(STARTUP, line_file, extraction)
-
-
-PRE_FORK = """
-    import dataclasses, sys
-    from slidestats import ExperimentConfig, ProcessSpec, StatisticRequest, harness
-
-    original = harness.generate
-
-    def generate_after_scipy(*args, **kwargs):
-        # Forked workers inherit this wrapper and the parent's sys.modules.
-        if "scipy.spatial" not in sys.modules:
-            raise RuntimeError("scipy.spatial was not loaded before the fork")
-        return original(*args, **kwargs)
-
-    harness.generate = generate_after_scipy
-    config = ExperimentConfig(
-        process=ProcessSpec("uniform_cube", {"dim": 2}),
-        sample_size=200,
-        replicates=8,
-        statistics=(StatisticRequest("slide", (1, 2)),),
-        master_seed=27,
-        workers=2,
-    )
-    pooled = harness.run_experiment(config)
-    serial = harness.run_experiment(dataclasses.replace(config, workers=1))
-    pooled = dataclasses.replace(pooled, config=serial.config)
-    assert harness.emit_report(pooled) == harness.emit_report(serial)
-"""
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_all_start_methods()[0] != "fork",
-    reason="only forked workers inherit the parent's modules",
-)
-def test_pool_loads_scipy_before_forking():
-    run_fresh(PRE_FORK)
