@@ -295,7 +295,7 @@ def _oracle_corpus(seed: int, full: bool) -> list[np.ndarray]:
 
 def _slide_gap(order: int, seed: int, full: bool) -> float:
     return max(
-        abs(_closed_forms(d, order)[order - 1] - psi_numeric(d, order).value)
+        abs(_closed_forms(d, order)[order - 1] - psi_numeric(d, order)[-1].value)
         for d in _oracle_corpus(seed, full)
     )
 

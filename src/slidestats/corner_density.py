@@ -160,6 +160,11 @@ def _check_monotone(fn: Callable[[float], float], domain: Interval) -> None:
         prev = val
 
 
+def _check_slide_parameter(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"slide parameter t must be a finite number >= 0, got {t!r}")
+
+
 @dataclass(frozen=True)
 class SlideFunctionEvaluation:
     """One evaluation of the slide function: parameter, area ``A(t)``, value."""
@@ -169,8 +174,7 @@ class SlideFunctionEvaluation:
     value: float
 
     def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError("slide parameter must be nonnegative")
+        _check_slide_parameter(self.t)
         if self.value < -1e-9:
             raise ValueError(
                 f"slide value {self.value} violates entropy nonnegativity"
@@ -226,8 +230,7 @@ def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluatio
     work = np.empty(n)
 
     def sigma(t: float) -> SlideFunctionEvaluation:
-        if t < 0.0:
-            raise ValueError("slide parameter must be nonnegative")
+        _check_slide_parameter(t)
         if t == 0.0:
             return SlideFunctionEvaluation(0.0, 1.0, 0.0)
         x = np.multiply(ell, t, out=work)
@@ -279,8 +282,7 @@ def slide_function(
     :class:`DivergenceError` naming ``t``.  Step densities use the exact
     finite form.
     """
-    if t < 0.0:
-        raise ValueError("slide parameter must be nonnegative")
+    _check_slide_parameter(t)
     if density.is_step:
         return step_slide_function(density.distances, t)
     if t == 0.0:
@@ -322,8 +324,7 @@ def neg_log_slide(t: float, power: float = 1.0) -> float:
     Equals ``-1 + s - s psi(s) + ln Gamma(1 + s)`` with ``s = power * t``,
     where ``psi`` is the digamma function; 0 at ``t = 0`` by continuity.
     """
-    if t < 0.0:
-        raise ValueError("slide parameter must be nonnegative")
+    _check_slide_parameter(t)
     if power <= 0.0:
         raise ValueError("power must be positive")
     s = power * t

@@ -159,9 +159,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"cross_check must be a boolean, got {self.cross_check!r}"
             )
-        if "assembly" in kinds and self.sample_size > self.pairwise_cap:
+        pairwise = [k for k in kinds if statistic_kind(k).extraction == "pairwise"]
+        if pairwise and self.sample_size > self.pairwise_cap:
             raise ConfigError(
-                f"assembly statistics need sample_size <= pairwise_cap "
+                f"{pairwise[0]} statistics need sample_size <= pairwise_cap "
                 f"({self.sample_size} > {self.pairwise_cap})"
             )
 

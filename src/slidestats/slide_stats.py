@@ -19,7 +19,7 @@ distance by a positive constant leaves the results unchanged to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -67,7 +67,7 @@ __all__ = [
 
 MAX_NUMERIC_ORDER = 4
 
-# Default reliability thresholds for the differentiation oracle, by order.
+# Reliability thresholds of the differentiation oracle, by order.
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
@@ -161,29 +161,20 @@ def psi2_conjectured(distances: Any) -> float:
 
 
 def psi_numeric(
-    distances: Any,
-    order: int,
-    h0: float | None = None,
-    tol: float | None = None,
-) -> DerivativeEstimate:
-    """Slide derivative of the given order from the differentiation oracle.
+    distances: Any, max_order: int, h0: float | None = None
+) -> list[DerivativeEstimate]:
+    """Slide derivatives of orders ``1..max_order`` from the differentiation oracle.
 
-    Returns the full estimate record; ``reliable`` is False when the
-    Richardson error estimate exceeds ``tol`` (default: a per-order
-    threshold), which typically signals a divergent derivative.
+    One slide curve and one derivative ladder serve every order.  Returns one
+    estimate record per order, order 1 first; ``reliable`` is False when the
+    Richardson error estimate exceeds that order's threshold in
+    ``_ORACLE_TOL``, which typically signals a divergent derivative.
     """
     d = as_descending(distances, min_size=2, positive=True)
-    if not 1 <= order <= MAX_NUMERIC_ORDER:
-        raise ValueError(f"numeric slide orders run 1..{MAX_NUMERIC_ORDER}")
-    if tol is None:
-        tol = _ORACLE_TOL[order]
-
+    (max_order,) = _wanted_orders([max_order], MAX_NUMERIC_ORDER)
     curve = _slide_curve(d.values)
-
-    def sigma(t: float) -> float:
-        return curve(t).value
-
-    return right_derivatives(sigma, order, h0=h0, tol=tol)[order - 1]
+    estimates = right_derivatives(lambda t: curve(t).value, max_order, h0=h0)
+    return [replace(e, reliable=e.error <= _ORACLE_TOL[e.order]) for e in estimates]
 
 
 def level_derivatives(distances: Any, max_order: int) -> list[float]:
@@ -196,8 +187,7 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     vanish.  One block pass takes every order into a buffer of two blocks,
     and the block sums are added with ``math.fsum``.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    (max_order,) = _wanted_orders([max_order], None)
     d = as_descending(distances, min_size=2).values
     if d[0] <= 0.0:
         raise ValueError("distances must not all be zero")
@@ -270,10 +260,10 @@ def _slide_report(
 ) -> SlideReport:
     closed = _closed_forms(d, wanted[-1])
     values = {order: closed[order - 1] for order in wanted}
+    checked = [order for order in wanted if cross_check and order >= 2]
+    estimates = psi_numeric(d, checked[-1]) if checked else []
     oracle_error = {
-        order: abs(values[order] - psi_numeric(d, order).value)
-        for order in wanted
-        if cross_check and order >= 2
+        order: abs(values[order] - estimates[order - 1].value) for order in checked
     }
     return SlideReport(values, oracle_error)
 
@@ -326,6 +316,7 @@ def assembly_numbers(
 
 def level_numbers(points: PointSet, max_order: int = 2) -> SlideReport:
     """Level numbers of orders ``1..max_order``; duplicate points are permitted."""
+    (max_order,) = _wanted_orders([max_order], None)
     return point_statistics(points, {"level": range(1, max_order + 1)})["level"]
 
 

@@ -410,6 +410,11 @@ class TestEntropy:
         out = capsys.readouterr().out
         assert "0.5" in out and "1.0" in out
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_t_exits_2(self, capsys, t):
+        assert main(["entropy", "uniform", "--curve", t]) == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, capsys):
         code = main(["entropy", "power", "--param", "a=0.5", "--curve", "2"])
         assert code == 4

@@ -322,8 +322,9 @@ class TestStepSlide:
             )
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            step_slide_function([2.0, 1.0], -0.5)
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                step_slide_function([2.0, 1.0], t)
 
 
 # Log distances spread up to exp(+-30); rounding them to few decimals makes ties.
@@ -399,8 +400,11 @@ class TestSlideFunction:
         assert "A(t)" in str(info.value)
 
     def test_evaluation_validation(self):
-        with pytest.raises(ValueError):
-            SlideFunctionEvaluation(-1.0, 1.0, 0.5)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                SlideFunctionEvaluation(t, 1.0, 0.5)
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                slide_function(analytic_catalog("half_normal"), t)
         with pytest.raises(ValueError):
             SlideFunctionEvaluation(1.0, 1.0, -0.5)
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ def _density(d):
 CONSUMERS = [
     ("psi1", lambda d: [psi1(d)], 2, False),
     ("psi2_conjectured", lambda d: [psi2_conjectured(d)], 2, False),
-    ("psi_numeric", lambda d: astuple(psi_numeric(d, 2)), 2, False),
+    ("psi_numeric", lambda d: [astuple(est) for est in psi_numeric(d, 2)], 2, False),
     ("level_derivatives", lambda d: level_derivatives(d, 3), 2, True),
     ("step_slide_function", lambda d: astuple(step_slide_function(d, 0.7)), 1, False),
     ("CornerDensity.from_distances", _density, 1, False),

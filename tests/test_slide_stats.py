@@ -36,6 +36,8 @@ from slidestats.slide_stats import (
     STATISTIC_KINDS,
     _closed_forms,
     _rank_weights,
+    _slide_curve,
+    right_derivatives,
     statistic_kind,
 )
 from conftest import random_descending
@@ -209,7 +211,7 @@ class TestPsi1:
     def test_matches_derivative_oracle(self, rng):
         for _ in range(15):
             d = random_descending(rng, int(rng.integers(2, 80)))
-            est = psi_numeric(d, 1)
+            est = psi_numeric(d, 1)[0]
             assert abs(psi1(d) - est.value) < 1e-6
 
     def test_validation(self):
@@ -235,7 +237,7 @@ class TestPsi2:
     def test_matches_derivative_oracle(self, rng):
         for _ in range(15):
             d = random_descending(rng, int(rng.integers(2, 80)))
-            est = psi_numeric(d, 2)
+            est = psi_numeric(d, 2)[1]
             assert abs(psi2_conjectured(d) - est.value) < 1e-4
 
     def test_exact_scale_invariance(self, rng):
@@ -288,29 +290,49 @@ class TestPsi2:
 class TestPsiNumeric:
     def test_returns_estimate_with_metadata(self, rng):
         d = random_descending(rng, 30)
-        est = psi_numeric(d, 3, tol=1e-2)
-        assert est.order == 3
-        assert est.error >= 0.0
-        assert math.isfinite(est.value)
+        estimates = psi_numeric(d, 3)
+        assert [est.order for est in estimates] == [1, 2, 3]
+        for est in estimates:
+            assert est.error >= 0.0
+            assert math.isfinite(est.value)
+            assert est.reliable == (est.error <= _ORACLE_TOL[est.order])
+
+    @pytest.mark.parametrize("case", ["random", "hard"])
+    def test_every_order_from_one_ladder(self, rng, case):
+        # Each order is bit for bit what a ladder run to that order gives.
+        if case == "hard":
+            sequences = [np.sort(np.exp(ORACLE_HARD_CASE))[::-1]]
+        else:
+            sequences = [
+                random_descending(rng, int(rng.integers(2, 120))) for _ in range(10)
+            ]
+        for d in sequences:
+            curve = _slide_curve(d)
+            estimates = psi_numeric(d, 4)
+            for k in range(1, 5):
+                alone = right_derivatives(lambda t: curve(t).value, k)[k - 1]
+                assert (estimates[k - 1].value, estimates[k - 1].error) == (
+                    alone.value,
+                    alone.error,
+                )
 
     def test_power_law_at_order_three(self, rng):
         d = random_descending(rng, 25, low=-1.5, high=1.5)
-        base = psi_numeric(d, 3)
-        scaled = psi_numeric(d**2.0, 3)
+        base = psi_numeric(d, 3)[2]
+        scaled = psi_numeric(d**2.0, 3)[2]
         tol = max(50.0 * (8.0 * base.error + scaled.error), 1e-5)
         assert scaled.value == pytest.approx(8.0 * base.value, abs=tol)
 
     def test_order2_agrees_with_conjecture_at_scale(self):
         # 4.3e-12 apart at seed 0; the xlogx form of the slide sum gave 6.4e-8.
         d = np.random.default_rng(0).random(3 * 10**5) ** 0.5
-        assert abs(psi_numeric(d, 2).value - psi2_conjectured(d)) < 1e-10
+        assert abs(psi_numeric(d, 2)[1].value - psi2_conjectured(d)) < 1e-10
 
     def test_order_validation(self, rng):
         d = random_descending(rng, 10)
-        with pytest.raises(ValueError):
-            psi_numeric(d, 0)
-        with pytest.raises(ValueError):
-            psi_numeric(d, 5)
+        for max_order in (0, 5, 2.5, True):
+            with pytest.raises(ValueError):
+                psi_numeric(d, max_order)
 
 
 class TestLevelDerivatives:
@@ -347,8 +369,12 @@ class TestLevelDerivatives:
             assert level_derivatives(d, 1)[0] >= -1e-12
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            level_derivatives([2.0, 1.0], 0)
+        points = PointSet.from_coords([[0.0], [1.0], [3.0]])
+        for max_order in (0, 2.0, True):
+            with pytest.raises(ValueError):
+                level_derivatives([2.0, 1.0], max_order)
+            with pytest.raises(ValueError):
+                level_numbers(points, max_order)
 
 
 def centred_reference(d):
@@ -435,8 +461,9 @@ class TestHigherOrders:
             logs = np.round(logs, decimals)
         d = np.sort(np.exp(logs))[::-1]
         closed = _closed_forms(d, 4)
+        estimates = psi_numeric(d, 4, h0=1e-2)
         for order in (3, 4):
-            est = psi_numeric(d, order, h0=1e-2)
+            est = estimates[order - 1]
             value = closed[order - 1]
             bound = est.error + ORACLE_SLACK[order] * (1.0 + abs(value))
             assert abs(value - est.value) <= bound, (order, value, est)
@@ -488,21 +515,33 @@ class TestReports:
         assert report.oracle_error[3] < _ORACLE_TOL[3]
         assert report.oracle_error[4] < _ORACLE_TOL[4]
 
-    @pytest.mark.parametrize("cross_check, calls", [(False, []), (True, [2, 3, 4])])
+    @pytest.mark.parametrize("cross_check, calls", [(False, []), (True, [4])])
     def test_oracle_runs_only_as_cross_check(
         self, rng, monkeypatch, cross_check, calls
     ):
         seen = []
 
-        def counting(distances, order, *args, **kwargs):
-            seen.append(order)
-            return psi_numeric(distances, order, *args, **kwargs)
+        def counting(distances, max_order, *args, **kwargs):
+            seen.append(max_order)
+            return psi_numeric(distances, max_order, *args, **kwargs)
 
         monkeypatch.setattr(slide_stats, "psi_numeric", counting)
         points = PointSet.from_coords(rng.random((50, 2)))
         report = slide_numbers(points, orders=(1, 2, 3, 4), cross_check=cross_check)
         assert seen == calls
-        assert sorted(report.oracle_error) == calls
+        assert sorted(report.oracle_error) == ([2, 3, 4] if cross_check else [])
+
+    def test_one_slide_curve_per_distance_set(self, rng, monkeypatch):
+        builds = []
+
+        def counting(values):
+            builds.append(values.size)
+            return _slide_curve(values)
+
+        monkeypatch.setattr(slide_stats, "_slide_curve", counting)
+        points = PointSet.from_coords(rng.random((50, 2)))
+        slide_numbers(points, orders=(1, 2, 3, 4))
+        assert len(builds) == 1
 
     def test_low_orders_independent_of_higher_requests(self, rng):
         points = PointSet.from_coords(rng.random((200, 3)))
