@@ -36,6 +36,7 @@ from .geometry import _rank_weights, as_descending
 from .numerics import (
     EULER_GAMMA,
     Interval,
+    _wanted_orders,
     digamma,
     integrate,
     log_gamma,
@@ -338,10 +339,10 @@ def neg_log_derivative(order: int, power: float = 1.0) -> float:
 
     Order 1 gives ``power``; higher orders alternate in sign as
     ``(-1)**(order+1) (order-1)! (order-1) zeta(order) * power**order``.
-    These are the reference values behind the dimension estimates.
+    These are the reference values behind the dimension estimates.  The
+    order follows the package's order rule: a positive integer, no bool.
     """
-    if order < 1:
-        raise ValueError("derivative order must be at least 1")
+    (order,) = _wanted_orders([order])
     if order == 1:
         return power
     sign = 1.0 if order % 2 == 1 else -1.0

@@ -18,9 +18,16 @@ finiteness, sign and zeros.
 
 The rank weights ``c_r`` of a sequence of ``n`` distances depend on ``n``
 alone.  :func:`_rank_weights` is their one builder, read by the closed
-forms, the level numbers and the oracle's slide curve, and
-:func:`shared_rank_weights` scopes one shared array per size, which the
-pool threads of one experiment share as well.
+forms, the level numbers and the oracle's slide curve.
+
+One run scope, held in one context variable, carries what a run shares
+between its calls: the rank weights by size, kept inside
+:func:`shared_rank_weights`, and the thread count of the k-d tree queries.
+That count is -1, one thread per CPU, except in the pool tasks of
+:func:`slidestats.harness.run_experiment`: each runs in a copy of the run's
+context made by :func:`_pool_task_context`, which shares the weights and
+queries on one thread, so the pool's ``workers`` is the run's whole thread
+budget.
 
 scipy is loaded only where it is used: :func:`load_spatial` imports
 ``scipy.spatial`` on the first k-d tree or Euclidean ``pdist``, so the 1-d
@@ -31,8 +38,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Callable, Iterator, Sequence
+from contextvars import Context, ContextVar, copy_context
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +64,8 @@ PAIRWISE_CAP = 5000
 # grow with n, and each block's buffers stay in cache between passes.
 _BLOCK = 1 << 14
 
-# Points per k-d tree query.  Each query with workers=-1 starts its own
-# threads: on a 2-vCPU host, blocks of 2^14 points made the extraction of
+# Points per k-d tree query.  Each query on more than one thread starts its
+# own threads: on a 2-vCPU host, blocks of 2^14 points made the extraction of
 # 3·10^5 points 20% slower than one query, blocks of 2^16 under 2%.
 _QUERY_BLOCK = 1 << 16
 
@@ -140,9 +147,20 @@ def as_descending(
     return distances
 
 
-# The rank weights shared by size, or None outside shared_rank_weights().
-_SHARED_WEIGHTS: ContextVar[dict[int, np.ndarray] | None] = ContextVar(
-    "shared_rank_weights", default=None
+class _RunScope(NamedTuple):
+    """What the calls of one run share.
+
+    ``weights`` maps each size to its rank weights, or is None outside
+    :func:`shared_rank_weights`; ``query_workers`` is the ``workers``
+    argument of every k-d tree query.
+    """
+
+    weights: dict[int, np.ndarray] | None
+    query_workers: int
+
+
+_RUN_SCOPE: ContextVar[_RunScope] = ContextVar(
+    "run_scope", default=_RunScope(None, -1)
 )
 
 
@@ -155,16 +173,30 @@ def shared_rank_weights() -> Iterator[None]:
     block.  The arrays are released when the outermost block exits; an inner
     block keeps the outer one's arrays.  A context copied inside the block
     (``contextvars.copy_context``) shares them too, which is how that
-    function's pool threads read them.
+    function's pool tasks read them.
     """
-    if _SHARED_WEIGHTS.get() is not None:
+    scope = _RUN_SCOPE.get()
+    if scope.weights is not None:
         yield
         return
-    token = _SHARED_WEIGHTS.set({})
+    token = _RUN_SCOPE.set(scope._replace(weights={}))
     try:
         yield
     finally:
-        _SHARED_WEIGHTS.reset(token)
+        _RUN_SCOPE.reset(token)
+
+
+def _pool_task_context() -> Context:
+    """A copy of the current context for one task of a thread pool.
+
+    The copy shares the current scope's rank weights, and its k-d tree
+    queries run on one thread: the pool's threads are the whole budget.
+    Setting the count in the copy leaves the caller's own scope, and any
+    thread it starts itself, at one query thread per CPU.
+    """
+    context = copy_context()
+    context.run(_RUN_SCOPE.set, _RUN_SCOPE.get()._replace(query_workers=1))
+    return context
 
 
 def _rank_weights(n: int) -> np.ndarray:
@@ -180,7 +212,7 @@ def _rank_weights(n: int) -> np.ndarray:
     into the result, holding ``8 n`` bytes plus three buffers of at most
     ``_BLOCK + 1`` floats.
     """
-    shared = _SHARED_WEIGHTS.get()
+    shared = _RUN_SCOPE.get().weights
     weights = None if shared is None else shared.get(n)
     if weights is None:
         weights = _build_rank_weights(n)
@@ -339,13 +371,14 @@ def _nn_euclidean_tree(coords: np.ndarray) -> np.ndarray:
     # queried _QUERY_BLOCK at a time into one result, so beyond it and the
     # tree's index array only one block's copy of the points, its distances
     # and its indices are held, and they die with the statement.
+    workers = _RUN_SCOPE.get().query_workers
     tree = load_spatial().cKDTree(coords, compact_nodes=False)
     n = coords.shape[0]
     nearest = np.empty(n)
     for lo in range(0, n, _QUERY_BLOCK):
         hi = min(lo + _QUERY_BLOCK, n)
         block = tree.indices[lo:hi]
-        nearest[lo:hi] = tree.query(coords[block], k=[2], workers=-1)[0][:, 0]
+        nearest[lo:hi] = tree.query(coords[block], k=[2], workers=workers)[0][:, 0]
     return nearest
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextvars import copy_context
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -28,7 +27,12 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DuplicatePointError, ParseError
-from .geometry import PAIRWISE_CAP, PointSet
+from .geometry import (
+    PAIRWISE_CAP,
+    PointSet,
+    _pool_task_context,
+    shared_rank_weights,
+)
 from .processes import (
     GENERATOR_NAME,
     ProcessSpec,
@@ -47,7 +51,6 @@ from .slide_stats import (  # noqa: F401
     dimension_estimates,
     level_numbers,
     point_statistics,
-    shared_rank_weights,
     slide_numbers,
     statistic_kind,
     tangibility_check,
@@ -366,13 +369,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     tangibility is judged on the aggregate slide means when order 1 and at
     least one higher order were requested.  With ``workers > 1`` the
     replicates run on that many threads of this process: their kernels
-    release the GIL.
+    release the GIL.  ``workers`` is then the run's whole thread budget,
+    and each replicate's k-d tree queries run on its own pool thread.
     """
     fixed = _fixed_points(config)
     # The replicates share one array of rank weights per size, and none
     # outlives the run: at the default pairwise cap one size holds about
     # 100 MB.  A pool thread starts with an empty context, so each task runs
-    # in its own copy of this one, which holds the same shared arrays.
+    # in its own copy of this one, which holds the same shared arrays and
+    # queries on one thread.
     with shared_rank_weights():
         if config.workers == 1:
             outcomes = [
@@ -381,7 +386,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             from concurrent.futures import ThreadPoolExecutor
 
-            contexts = [copy_context() for _ in range(config.replicates)]
+            contexts = [_pool_task_context() for _ in range(config.replicates)]
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 outcomes = list(
                     pool.map(

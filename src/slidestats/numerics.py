@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DivergenceError
 
@@ -326,6 +327,37 @@ def zeta_int(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Derivative orders.
+
+
+def _wanted_orders(
+    orders: Iterable[int], max_order: int | None = None, lacking: str = ""
+) -> list[int]:
+    """``orders`` as sorted Python ints; a bad order is a ValueError.
+
+    This is the one order rule of the package.  Orders are integers (numpy
+    integers too, but no bool), at least one and none repeated, positive and
+    at most ``max_order`` unless that is None; ``lacking`` names what the
+    orders above it have none of.
+    """
+    wanted = []
+    for order in orders:
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+            raise ValueError(f"orders must be integers, got {order!r}")
+        wanted.append(int(order))
+    wanted.sort()
+    if not wanted:
+        raise ValueError("at least one order is required")
+    if len(set(wanted)) != len(wanted):
+        raise ValueError("orders must be distinct")
+    if wanted[0] < 1:
+        raise ValueError("orders must be positive")
+    if max_order is not None and wanted[-1] > max_order:
+        raise ValueError(f"orders above {max_order} have no {lacking}")
+    return wanted
+
+
+# ---------------------------------------------------------------------------
 # One-sided derivatives at zero.
 
 # 5-point forward stencils: (coefficients, denominator, leading error order).
@@ -337,6 +369,14 @@ _STENCILS = {
 }
 _DEFAULT_BASE_STEP = {1: 1e-2, 2: 1e-2, 3: 5e-2, 4: 5e-2}
 _LADDER_RUNGS = 6
+
+
+def _oracle_order(max_order: int) -> int:
+    """``max_order`` under the order rule, at most the number of stencils."""
+    (max_order,) = _wanted_orders(
+        [max_order], len(_STENCILS), "stencil in the derivative oracle"
+    )
+    return max_order
 
 
 @dataclass(frozen=True)
@@ -393,8 +433,7 @@ def right_derivatives(
     two-neighbour difference at the accepted entry, which also catches ladders
     that fail to settle because the derivative diverges.
     """
-    if max_order < 1 or max_order > max(_STENCILS):
-        raise ValueError(f"max_order must be in 1..{max(_STENCILS)}")
+    max_order = _oracle_order(max_order)
     cache: dict[float, float] = {0.0: g(0.0)}
 
     def eval_at(t: float) -> float:

@@ -44,7 +44,12 @@ from .geometry import (
     pairwise_distances,
     shared_rank_weights,
 )
-from .numerics import DerivativeEstimate, right_derivatives
+from .numerics import (
+    DerivativeEstimate,
+    _oracle_order,
+    _wanted_orders,
+    right_derivatives,
+)
 
 __all__ = [
     "STATISTIC_KINDS",
@@ -171,7 +176,7 @@ def psi_numeric(
     ``_ORACLE_TOL``, which typically signals a divergent derivative.
     """
     d = as_descending(distances, min_size=2, positive=True)
-    (max_order,) = _wanted_orders([max_order], MAX_NUMERIC_ORDER)
+    max_order = _oracle_order(max_order)
     curve = _slide_curve(d.values)
     estimates = right_derivatives(lambda t: curve(t).value, max_order, h0=h0)
     return [replace(e, reliable=e.error <= _ORACLE_TOL[e.order]) for e in estimates]
@@ -187,7 +192,7 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     vanish.  One block pass takes every order into a buffer of two blocks,
     and the block sums are added with ``math.fsum``.
     """
-    (max_order,) = _wanted_orders([max_order], None)
+    (max_order,) = _wanted_orders([max_order])
     d = as_descending(distances, min_size=2).values
     if d[0] <= 0.0:
         raise ValueError("distances must not all be zero")
@@ -229,30 +234,6 @@ class SlideReport:
     @property
     def orders(self) -> list[int]:
         return sorted(self.values)
-
-
-def _wanted_orders(orders: Iterable[int], max_order: int | None) -> list[int]:
-    """``orders`` as sorted Python ints; a bad order is a ValueError.
-
-    This is the one order rule.  Orders are integers (numpy integers too, but
-    no bool), at least one and none repeated, positive and at most
-    ``max_order`` unless that is None.
-    """
-    wanted = []
-    for order in orders:
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-            raise ValueError(f"orders must be integers, got {order!r}")
-        wanted.append(int(order))
-    wanted.sort()
-    if not wanted:
-        raise ValueError("at least one order is required")
-    if len(set(wanted)) != len(wanted):
-        raise ValueError("orders must be distinct")
-    if wanted[0] < 1:
-        raise ValueError("orders must be positive")
-    if max_order is not None and wanted[-1] > max_order:
-        raise ValueError(f"orders above {max_order} have no closed form")
-    return wanted
 
 
 def _slide_report(
@@ -316,7 +297,7 @@ def assembly_numbers(
 
 def level_numbers(points: PointSet, max_order: int = 2) -> SlideReport:
     """Level numbers of orders ``1..max_order``; duplicate points are permitted."""
-    (max_order,) = _wanted_orders([max_order], None)
+    (max_order,) = _wanted_orders([max_order])
     return point_statistics(points, {"level": range(1, max_order + 1)})["level"]
 
 
@@ -364,7 +345,8 @@ def _checked_requests(
     checked = {}
     for name, orders in requests.items():
         kind = statistic_kind(name)
-        checked[name] = (kind, _wanted_orders(orders, kind.max_order))
+        wanted = _wanted_orders(orders, kind.max_order, "closed form")
+        checked[name] = (kind, wanted)
     return checked
 
 

@@ -440,5 +440,6 @@ class TestNegLogDerivatives:
         assert ests[1].value == pytest.approx(-zeta_int(2), abs=1e-7)
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            neg_log_derivative(0)
+        for order in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                neg_log_derivative(order)

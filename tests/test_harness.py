@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from slidestats import (
     ExperimentConfig,
     ExperimentReport,
     ParseError,
+    PointSet,
     ProcessSpec,
     StatisticRequest,
     emit_report,
     generate,
     load_points,
     load_report,
+    nn_distances,
     render_report,
     render_reports,
     run_experiment,
@@ -66,6 +69,28 @@ def record_builds(monkeypatch):
 
     monkeypatch.setattr(geometry, "_build_rank_weights", logging_build)
     return built
+
+
+def record_queries(monkeypatch):
+    """Log ``(thread, workers)`` of every k-d tree query, from any thread."""
+    queries = []
+    spatial = geometry.load_spatial()
+
+    class SpyTree:
+        def __init__(self, *args, **kwargs):
+            self.tree = spatial.cKDTree(*args, **kwargs)
+            self.indices = self.tree.indices
+
+        def query(self, *args, workers, **kwargs):
+            queries.append((threading.get_ident(), workers))
+            return self.tree.query(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(
+        geometry,
+        "load_spatial",
+        lambda: SimpleNamespace(cKDTree=SpyTree, distance=spatial.distance),
+    )
+    return queries
 
 
 def generate_failing_at_stream_3(spec, k, stream=None):
@@ -404,6 +429,46 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert abs(report.aggregates["slide:1"].mean - 0.5) < 0.1
         assert abs(report.dimension_estimates[1] - 2.0) < 0.5
+
+
+class TestQueryThreads:
+    """Pool tasks query the k-d tree on one thread; every other call on all CPUs."""
+
+    points = PointSet.from_coords(np.random.default_rng(0).random((40, 2)))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_tasks_query_on_one_thread(self, monkeypatch, workers):
+        queries = record_queries(monkeypatch)
+        run_experiment(small_config(replicates=6, workers=workers))
+        assert [count for _, count in queries] == [1] * 6
+        assert threading.get_ident() not in {thread for thread, _ in queries}
+
+    def test_serial_run_queries_on_every_cpu(self, monkeypatch):
+        queries = record_queries(monkeypatch)
+        run_experiment(small_config(replicates=3))
+        assert queries == [(threading.get_ident(), -1)] * 3
+
+    def test_top_level_queries_on_every_cpu(self, monkeypatch):
+        queries = record_queries(monkeypatch)
+        nn_distances(self.points)
+        with geometry.shared_rank_weights():
+            nn_distances(self.points)
+        assert [count for _, count in queries] == [-1, -1]
+
+    def test_callers_thread_queries_on_every_cpu(self, monkeypatch):
+        queries = record_queries(monkeypatch)
+        thread = threading.Thread(target=nn_distances, args=(self.points,))
+        thread.start()
+        thread.join()
+        assert [count for _, count in queries] == [-1]
+
+    def test_pooled_run_leaves_the_caller_on_every_cpu(self, monkeypatch):
+        queries = record_queries(monkeypatch)
+        with geometry.shared_rank_weights():
+            run_experiment(small_config(replicates=4, workers=2))
+            nn_distances(self.points)
+        nn_distances(self.points)
+        assert [count for _, count in queries] == [1] * 4 + [-1, -1]
 
 
 class TestSerialization:

@@ -188,10 +188,9 @@ class TestRightDerivatives:
         assert all(est.reliable for est in ests)
 
     def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            right_derivatives(math.exp, 0)
-        with pytest.raises(ValueError):
-            right_derivatives(math.exp, 5)
+        for max_order in (0, 5, 2.5, True):
+            with pytest.raises(ValueError):
+                right_derivatives(math.exp, max_order)
 
     def test_estimate_is_frozen(self):
         est = right_derivatives(math.exp, 1)[0]

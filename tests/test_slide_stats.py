@@ -334,6 +334,13 @@ class TestPsiNumeric:
             with pytest.raises(ValueError):
                 psi_numeric(d, max_order)
 
+    def test_order_limit_names_the_stencils(self, rng):
+        d = random_descending(rng, 10)
+        with pytest.raises(
+            ValueError, match="orders above 4 have no stencil in the derivative oracle"
+        ):
+            psi_numeric(d, 5)
+
 
 class TestLevelDerivatives:
     def test_frozen_values(self):
