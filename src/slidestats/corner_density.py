@@ -16,10 +16,8 @@ The slide function evaluates G along the normalized power family
 route: a density whose mass the quadrature cannot resolve raises
 :class:`DivergenceError` instead of returning a value.  For step densities
 the slide function has an exact finite form, which the quadrature route is
-tested against.  That form is evaluated in log space, which keeps it exact
-up to rounding and free of overflow at any ``t``; the logs and rank weights
-are taken once per distance set, so the many evaluations of a derivative
-ladder cost one ``expm1`` and three dot products each.
+tested against; :func:`step_slide_function` checks its input and evaluates
+that form with the slide curve of :mod:`slidestats.step_kernels`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .geometry import _rank_weights, as_descending
+from .geometry import as_descending
 from .numerics import (
     EULER_GAMMA,
     Interval,
@@ -42,6 +40,7 @@ from .numerics import (
     log_gamma,
     zeta_int,
 )
+from .step_kernels import _slide_curve
 
 __all__ = [
     "CornerDensity",
@@ -55,6 +54,10 @@ __all__ = [
 ]
 
 _MONOTONE_GRID = 1024
+
+# Absolute tolerance of every quadrature here, tight enough that the
+# nonnegativity check of a slide value stays meaningful.
+_QUAD_TOL = 1e-10
 
 
 class CornerDensity:
@@ -104,15 +107,16 @@ class CornerDensity:
         fn: Callable[[float], float],
         domain: Interval,
         normalization: float | None = None,
-        check_monotone: bool = True,
-        tol: float = 1e-10,
         **metadata: Any,
     ) -> "CornerDensity":
-        """Wrap an analytic density, integrating it if no normalization is given."""
-        if check_monotone:
-            _check_monotone(fn, domain)
+        """Wrap an analytic density, integrating it if no normalization is given.
+
+        ``fn`` is spot checked for being finite, nonnegative and
+        nonincreasing on a fixed grid of the domain.
+        """
+        _check_monotone(fn, domain)
         if normalization is None:
-            normalization = integrate(fn, domain, tol)
+            normalization = integrate(fn, domain, _QUAD_TOL)
             if normalization <= 0.0:
                 raise ValueError("density must have positive integral")
         return cls(fn, domain, normalization, **metadata)
@@ -184,80 +188,14 @@ class SlideFunctionEvaluation:
             raise ValueError("the slide function must vanish at t = 0")
 
 
-def genial_entropy(density: CornerDensity, tol: float = 1e-9) -> float:
+def genial_entropy(density: CornerDensity) -> float:
     """Genial entropy ``G(f) = -1 - int f ln(x f) dx``, which is ``sigma(1)``.
 
     Raises what :func:`slide_function` raises: :class:`DivergenceError` when
     the quadrature cannot resolve the density's mass, ``ValueError`` when
     that mass vanishes.
     """
-    return slide_function(density, 1.0, tol).value
-
-
-def _slide_curve(values: np.ndarray) -> Callable[[float], SlideFunctionEvaluation]:
-    """``t -> sigma(t)`` for the step density of descending positive ``values``.
-
-    With ``x_r = t ln(d_r / d_1)``, ``q = exp(x)``, ``Q = sum(q)`` and the
-    centred rank weights ``c_r = ln(n) + (r-1) ln(r-1) - r ln(r)``, which sum
-    to zero, the exact finite sum ``sum_r xlogx((r-1) p_r) - xlogx(r p_r)``
-    over ``p = q / Q`` equals ``(q.c - q.x) / Q + ln(Q / n)``.  The weights
-    come from :func:`slidestats.geometry._rank_weights`, so inside
-    :func:`slidestats.geometry.shared_rank_weights` the curve reads the
-    closed forms' array and holds two arrays of ``n`` floats of its own: the
-    logs and one work buffer, which every ``t`` reuses for ``x`` and then
-    ``q``, at the cost of one ``expm1`` and three dot products, with
-    ``q.x = t q.ell``.  Outside that scope it builds the weights as a third.
-
-    While every ``|x_r| <= 1`` the sum runs on ``e = q - 1``: there
-    ``q.c = e.c``, ``q.x = e.x + t sum(ell)`` and ``ln(Q / n) =
-    log1p(sum(e) / n)``, whose rounding shrinks with ``t``, so the small
-    values near ``t = 0``, where the derivative ladders sample, keep their
-    digits instead of drowning in ``Q ~ n``.  Beyond that ``q`` itself is
-    summed; both forms round at about ``eps ln(n)`` where they meet.
-    """
-    n = values.size
-    # fetched first, so that building unshared weights peaks before the logs
-    # and the work buffer exist
-    weights = _rank_weights(n)
-    # numpy's log can round a strided view and a contiguous copy differently
-    # in the last bit; taking it on contiguous values makes the curve
-    # independent of memory layout (no copy for contiguous input).
-    ell = np.log(np.ascontiguousarray(values))
-    log_top = float(ell[0])
-    # ell <= 0, exactly 0 at the top; d_r / d_1 could underflow
-    np.subtract(ell, log_top, out=ell)
-    ell_sum = float(ell.sum())
-    depth = -float(ell[-1])  # largest |ell_r|
-    work = np.empty(n)
-
-    def sigma(t: float) -> SlideFunctionEvaluation:
-        _check_slide_parameter(t)
-        if t == 0.0:
-            return SlideFunctionEvaluation(0.0, 1.0, 0.0)
-        x = np.multiply(ell, t, out=work)
-        if t * depth <= 1.0:
-            e = np.expm1(x, out=work)
-            excess = float(e.sum())  # Q - n
-            total = n + excess
-            numerator = (
-                float(np.dot(e, weights)) - t * float(np.dot(e, ell)) - t * ell_sum
-            )
-            log_mean_q = math.log1p(excess / n)
-        else:
-            q = np.exp(x, out=work)
-            total = float(q.sum())
-            numerator = float(np.dot(q, weights)) - t * float(np.dot(q, ell))
-            log_mean_q = math.log(total / n)
-        value = numerator / total + log_mean_q
-        try:
-            area = math.exp(t * log_top + log_mean_q)
-        except OverflowError:
-            area = math.inf  # the value is still exact; only the report overflows
-        if -1e-9 < value < 0.0:
-            value = max(value, -1e-15)  # exact sum; clip rounding residue only
-        return SlideFunctionEvaluation(t, area, value)
-
-    return sigma
+    return slide_function(density, 1.0).value
 
 
 def step_slide_function(distances: Any, t: float) -> SlideFunctionEvaluation:
@@ -268,18 +206,17 @@ def step_slide_function(distances: Any, t: float) -> SlideFunctionEvaluation:
     widely spread distances do not overflow, and the value stays the exact
     sum up to rounding.  At ``t = 0`` the value is exactly 0.
     """
+    _check_slide_parameter(t)
     values = as_descending(distances, positive=True).values
-    return _slide_curve(values)(t)
+    return SlideFunctionEvaluation(t, *_slide_curve(values)(t))
 
 
-def slide_function(
-    density: CornerDensity, t: float, tol: float = 1e-9
-) -> SlideFunctionEvaluation:
+def slide_function(density: CornerDensity, t: float) -> SlideFunctionEvaluation:
     """Slide function ``G(f^t / A(t))`` of a corner density at ``t >= 0``.
 
     For analytic densities both the area ``A(t) = int f^t`` and the entropy
-    integral run through adaptive quadrature (at no looser than 1e-10 so the
-    nonnegativity check stays meaningful); a divergent area raises
+    integral run through adaptive quadrature to an absolute 1e-10, so the
+    nonnegativity check stays meaningful; a divergent area raises
     :class:`DivergenceError` naming ``t``.  Step densities use the exact
     finite form.
     """
@@ -289,7 +226,6 @@ def slide_function(
     if t == 0.0:
         return SlideFunctionEvaluation(0.0, density.domain.measure, 0.0)
     z = density.normalization
-    quad_tol = min(tol, 1e-10)
 
     def power(x: float) -> float:
         fx = density.fn(x) / z
@@ -298,7 +234,7 @@ def slide_function(
         return fx**t
 
     try:
-        area = integrate(power, density.domain, quad_tol)
+        area = integrate(power, density.domain, _QUAD_TOL)
     except DivergenceError as exc:
         raise DivergenceError(
             f"normalizing area A(t) diverges at t = {t:g}: {exc}"
@@ -313,9 +249,9 @@ def slide_function(
             return 0.0
         return u * math.log(x * u)
 
-    value = -1.0 - integrate(integrand, density.domain, quad_tol)
+    value = -1.0 - integrate(integrand, density.domain, _QUAD_TOL)
     if -1e-9 < value < 0.0:
-        value = max(value, -quad_tol)
+        value = max(value, -_QUAD_TOL)
     return SlideFunctionEvaluation(t, area, value)
 
 

@@ -17,8 +17,9 @@ is contiguous and non-increasing, and only its ends are checked: NaN and
 finiteness, sign and zeros.
 
 The rank weights ``c_r`` of a sequence of ``n`` distances depend on ``n``
-alone.  :func:`_rank_weights` is their one builder, read by the closed
-forms, the level numbers and the oracle's slide curve.
+alone.  :func:`_rank_weights` is their one builder, and the kernels of
+:mod:`slidestats.step_kernels` (the closed forms, the level sums and the
+oracle's slide curve) are their only readers.
 
 One run scope, held in one context variable, carries what a run shares
 between its calls: the rank weights by size, kept inside
@@ -59,9 +60,10 @@ __all__ = [
 
 PAIRWISE_CAP = 5000
 
-# The kernels over n distances run in blocks of this many values, so the
-# memory they take beyond their input and one array of rank weights does not
-# grow with n, and each block's buffers stay in cache between passes.
+# The rank weights and the step kernels over n distances run in blocks of
+# this many values, so the memory they take beyond their input and one array
+# of rank weights does not grow with n, and each block's buffers stay in
+# cache between passes.
 _BLOCK = 1 << 14
 
 # Points per k-d tree query.  Each query on more than one thread starts its
@@ -202,8 +204,8 @@ def _pool_task_context() -> Context:
 def _rank_weights(n: int) -> np.ndarray:
     """``c_r = ln(n) - r ln(r) + (r-1) ln(r-1)`` for ranks ``r = 1..n``, read-only.
 
-    They decrease in ``r`` and sum to zero.  The closed forms, the level
-    numbers and the oracle's slide curve all read them from here.  Inside
+    They decrease in ``r`` and sum to zero.  The kernels of
+    :mod:`slidestats.step_kernels` read them from here.  Inside
     :func:`shared_rank_weights` one array per size is built and every caller
     shares it; outside, each call builds its own, so nothing outlives the
     statistics that asked for it.  Threads that miss one size at the same

@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -83,10 +85,20 @@ def _is_number(value: Any) -> bool:
 
 
 def _checked_tol(tol: Any) -> float:
-    """``tol`` as a float; anything but a positive number is a ConfigError."""
-    if not (_is_number(tol) and tol > 0.0):
-        raise ConfigError(f"tangibility_tol must be a positive number, got {tol!r}")
-    return float(tol)
+    """``tol`` as a float; anything but a finite positive real is a ConfigError.
+
+    Numpy reals count; a ``bool`` does not.
+    """
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    try:
+        number = float(tol) if real else math.nan
+    except OverflowError:  # an int beyond the double range
+        number = math.inf
+    if not 0.0 < number < math.inf:
+        raise ConfigError(
+            f"tangibility_tol must be a positive number, not inf or nan, got {tol!r}"
+        )
+    return number
 
 
 @dataclass(frozen=True)
@@ -158,6 +170,8 @@ class ExperimentConfig:
         object.__setattr__(self, "tangibility_tol", _checked_tol(self.tangibility_tol))
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.pairwise_cap < 2:
+            raise ConfigError("pairwise_cap must be at least 2")
         if not isinstance(self.cross_check, bool):
             raise ConfigError(
                 f"cross_check must be a boolean, got {self.cross_check!r}"

@@ -392,7 +392,6 @@ class DerivativeEstimate:
     order: int
     value: float
     error: float
-    step: float
     reliable: bool
 
 
@@ -475,7 +474,6 @@ def right_derivatives(
                 order=order,
                 value=best_val,
                 error=best_err,
-                step=base,
                 reliable=True if tol is None else best_err <= tol,
             )
         )

@@ -6,11 +6,13 @@ assembly numbers use all pairwise distances instead, and level numbers
 differentiate along the level family ``t f + (1 - t)``, where duplicate
 points (zero distances) are legal.
 
-Orders 1 to 4 come from one closed-form pass over the distances: the
-derivatives of the slide function at 0 are cumulants of the log distances
-tilted by the rank weights.  The paper derives order 1 only, so every order
-from 2 on is cross-checked against the numerical differentiation oracle by
-default, and reports record the gap.
+The derivatives of the slide function at 0 are cumulants of the log
+distances tilted by the rank weights: orders 1 and 2 come from one
+closed-form pass over the distances, and orders 3 and 4 from a second.  The
+paper derives order 1 only, so every order from 2 on is cross-checked
+against the numerical differentiation oracle by default, and reports record
+the gap.  The sums themselves live in :mod:`slidestats.step_kernels`; this
+module checks the inputs and assembles the reports.
 
 All closed forms are arranged in terms of distance ratios, so scaling every
 distance by a positive constant leaves the results unchanged to rounding.
@@ -20,24 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import Any, Callable, Iterable, Mapping
 
 # step_slide_function is no longer called here, but perfbench/run.py times the
 # oracle through this module attribute.
-from .corner_density import (  # noqa: F401
-    _slide_curve,
-    neg_log_derivative,
-    step_slide_function,
-)
+from .corner_density import neg_log_derivative, step_slide_function  # noqa: F401
 from .errors import ConfigError, DuplicatePointError
 from .geometry import (
-    _BLOCK,
     PAIRWISE_CAP,
     DescendingDistances,
     PointSet,
-    _rank_weights,
     as_descending,
     distinct_nearest,
     nn_distances,
@@ -50,6 +44,7 @@ from .numerics import (
     _wanted_orders,
     right_derivatives,
 )
+from .step_kernels import _level_derivatives, _slide_curve, _slide_derivatives
 
 __all__ = [
     "STATISTIC_KINDS",
@@ -76,66 +71,14 @@ MAX_NUMERIC_ORDER = 4
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
-def _log_ratio_blocks(
-    d: np.ndarray, out: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``ln(d_r / d_n)`` of descending ``d``, one block at a time, in ``out``.
-
-    Yields each block's slice of ``d`` and its logs, a view of ``out`` (at
-    least ``min(d.size, _BLOCK)`` floats) that the next block overwrites.
-    The last log is exactly 0.
-    """
-    bottom = d[-1]
-    for lo in range(0, d.size, _BLOCK):
-        block = slice(lo, min(lo + _BLOCK, d.size))
-        ell = out[: block.stop - lo]
-        np.divide(d[block], bottom, out=ell)
-        yield block, np.log(ell, out=ell)
-
-
 def _closed_forms(distances: Any, max_order: int = 2) -> tuple[float, ...]:
-    """Slide derivatives of orders ``1..max(2, max_order)`` in block passes.
+    """Slide derivatives of orders ``1..max(2, max_order)`` of ``distances``.
 
-    Over ``ell_r = ln(d_r / d_n)`` and the rank weights ``c_r``, the slide
-    function is ``sigma(t) = E_t[c] - t K'(t) + K(t)``, with
-    ``K(t) = ln mean(e^{t ell})`` and ``E_t`` the mean tilted by
-    ``e^{t ell}``, so its k-th derivative at 0 is the joint cumulant of
-    ``(ell, ..., ell, c)`` minus ``(k - 1) kappa_k(ell)``.  Orders 1 and 2
-    are those of :func:`psi1` and :func:`psi2_conjectured`.  Orders 3 and 4,
-    computed only when asked for, use the centred logs ``x = ell - mean(ell)``
-    with ``m_j = mean(x^j)`` and ``e_j = mean(x^j c)``: they are
-    ``e_3 - 3 m_2 e_1 - 2 m_3`` and
-    ``e_4 - 4 e_1 m_3 - 6 m_2 e_2 - 3 (m_4 - 3 m_2^2)``.
-
-    One pass gives orders 1 and 2 and the mean of the logs, and a second
-    pass the centred sums.  Each pass takes the logs block by block into a
-    buffer of three blocks, and the block sums are added with ``math.fsum``.
+    The validating entry of :func:`slidestats.step_kernels._slide_derivatives`:
+    at least two distances, all positive.
     """
     d = as_descending(distances, min_size=2, positive=True).values
-    n = d.size
-    c = _rank_weights(n)
-    work = np.empty((3, min(n, _BLOCK)))
-    parts = np.empty((-(-n // _BLOCK), 7))
-    for i, (block, ell) in enumerate(_log_ratio_blocks(d, work[0])):
-        c_ell = np.multiply(c[block], ell, out=work[1, : ell.size])
-        parts[i, :4] = (c_ell.sum(), np.dot(c_ell, ell), ell.sum(), np.dot(ell, ell))
-    a, b, s1, s2 = (math.fsum(column) for column in parts[:, :4].T)
-    out = [a / n, -(2.0 * s1 * a - n * b + n * s2 - s1 * s1) / (n * n)]
-    if max_order >= 3:
-        mean = s1 / n
-        for i, (block, x) in enumerate(_log_ratio_blocks(d, work[0])):
-            np.subtract(x, mean, out=x)
-            x2 = np.multiply(x, x, out=work[1, : x.size])
-            cx2 = np.multiply(c[block], x2, out=work[2, : x.size])
-            parts[i] = (
-                np.dot(c[block], x), cx2.sum(), np.dot(cx2, x), np.dot(cx2, x2),
-                x2.sum(), np.dot(x2, x), np.dot(x2, x2),
-            )
-        e1, e2, e3, e4, m2, m3, m4 = (math.fsum(column) / n for column in parts.T)
-        out.append(e3 - 3.0 * m2 * e1 - 2.0 * m3)
-        if max_order >= 4:
-            out.append(e4 - 4.0 * e1 * m3 - 6.0 * m2 * e2 - 3.0 * (m4 - 3.0 * m2 * m2))
-    return tuple(out)
+    return _slide_derivatives(d, max_order)
 
 
 def psi1(distances: Any) -> float:
@@ -178,7 +121,7 @@ def psi_numeric(
     d = as_descending(distances, min_size=2, positive=True)
     max_order = _oracle_order(max_order)
     curve = _slide_curve(d.values)
-    estimates = right_derivatives(lambda t: curve(t).value, max_order, h0=h0)
+    estimates = right_derivatives(lambda t: curve(t)[1], max_order, h0=h0)
     return [replace(e, reliable=e.error <= _ORACLE_TOL[e.order]) for e in estimates]
 
 
@@ -189,27 +132,13 @@ def level_derivatives(distances: Any, max_order: int) -> list[float]:
     distances, with the rank weights ``c_r`` of :func:`psi1`; each higher
     order k is the negated k-th moment of ``1 - d_r / mean(d)``.  Zero
     distances are permitted (duplicate points), but not all of them may
-    vanish.  One block pass takes every order into a buffer of two blocks,
-    and the block sums are added with ``math.fsum``.
+    vanish.
     """
     (max_order,) = _wanted_orders([max_order])
     d = as_descending(distances, min_size=2).values
     if d[0] <= 0.0:
         raise ValueError("distances must not all be zero")
-    n = d.size
-    mean = d.mean()
-    c = _rank_weights(n)
-    work = np.empty((2, min(n, _BLOCK)))
-    parts = np.empty((-(-n // _BLOCK), max_order))
-    for i, lo in enumerate(range(0, n, _BLOCK)):
-        hi = min(lo + _BLOCK, n)
-        ratio = np.divide(d[lo:hi], mean, out=work[0, : hi - lo])
-        parts[i, 0] = np.dot(c[lo:hi], ratio)
-        gap = np.subtract(1.0, ratio, out=ratio)
-        for k in range(2, max_order + 1):
-            parts[i, k - 1] = np.power(gap, k, out=work[1, : hi - lo]).sum()
-    sums = [math.fsum(column) / n for column in parts.T]
-    return [sums[0]] + [-moment for moment in sums[1:]]
+    return _level_derivatives(d, max_order)
 
 
 @dataclass
@@ -419,8 +348,8 @@ class TangibilityVerdict:
 
 def tangibility_check(report: SlideReport, tol: float = 0.1) -> TangibilityVerdict:
     """Test whether the reported slide numbers match a common dimension."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a finite positive number")
     if 1 not in report.orders or len(report.orders) < 2:
         raise ValueError("tangibility needs order 1 plus at least one more order")
     estimates = dimension_estimates(report)

@@ -96,6 +96,7 @@ class TestStats:
             (["--stat", "level,slide", "--orders", "1,5"], "orders above 4"),
             (["--orders", "0"], "orders must be positive"),
             (["--tol", "0"], "tangibility_tol must be a positive number"),
+            (["--tol", "inf"], "tangibility_tol must be a positive number"),
         ],
     )
     def test_bad_request_fails_before_reading_the_file(
@@ -264,6 +265,21 @@ class TestSimulate:
 
     def test_unknown_process(self, capsys):
         assert main(["simulate", "--process", "levy"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tol", "inf"], "tangibility_tol must be a positive number"),
+            (["--tol", "nan"], "tangibility_tol must be a positive number"),
+            (["--pairwise-cap", "-3"], "pairwise_cap must be at least 2"),
+        ],
+    )
+    def test_out_of_range_flag_is_config_error(self, capsys, flags, message):
+        argv = [*SIMULATE, "--size", "20", "--replicates", "2", "--format", "json"]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
 
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -149,6 +149,16 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"{name} must be an integer"):
                 small_config(**{name: flag})
 
+    def test_numpy_reals_are_tolerances(self):
+        plain = small_config(tangibility_tol=0.5)
+        for tol in (np.float32(0.5), np.float64(0.5)):
+            config = small_config(tangibility_tol=tol)
+            assert type(config.tangibility_tol) is float
+            assert config == plain
+        for bad in (np.float64(np.inf), np.float32(np.nan), np.True_, 10**400):
+            with pytest.raises(ConfigError, match="tangibility_tol must be a positive"):
+                small_config(tangibility_tol=bad)
+
     def test_numpy_integers_in_the_process_spec(self):
         plain = small_config(process=ProcessSpec("uniform_cube", {"dim": 2}, seed=3))
         spec = ProcessSpec("uniform_cube", {"dim": np.int64(2)}, seed=np.int64(3))
@@ -218,8 +228,12 @@ class TestConfigValidation:
         [
             ("config", "cross_check", "no"),
             ("config", "pairwise_cap", True),
+            ("config", "pairwise_cap", 0),
+            ("config", "pairwise_cap", -3),
             ("config", "tangibility_tol", True),
             ("config", "tangibility_tol", "x"),
+            ("config", "tangibility_tol", math.inf),
+            ("config", "tangibility_tol", math.nan),
             ("process", "seed", True),
             ("process", "params", []),
             ("process", "params", {"dim": 0}),

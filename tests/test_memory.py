@@ -27,13 +27,13 @@ from slidestats import (
     slide_numbers,
 )
 from slidestats import geometry
-from slidestats.corner_density import _slide_curve
+from slidestats.geometry import _rank_weights
 from slidestats.slide_stats import (
     _closed_forms,
-    _rank_weights,
     level_derivatives,
     shared_rank_weights,
 )
+from slidestats.step_kernels import _slide_curve
 
 N = 200_000
 ARRAY = 8 * N

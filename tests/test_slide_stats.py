@@ -30,21 +30,21 @@ from slidestats import (
     tangibility_check,
     zeta_int,
 )
-from slidestats import slide_stats
+from slidestats import geometry, slide_stats
+from slidestats.geometry import _rank_weights
 from slidestats.slide_stats import (
     _ORACLE_TOL,
     STATISTIC_KINDS,
     _closed_forms,
-    _rank_weights,
-    _slide_curve,
     right_derivatives,
     statistic_kind,
 )
+from slidestats.step_kernels import _slide_curve
 from conftest import random_descending
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
-BLOCK = slide_stats._BLOCK
+BLOCK = geometry._BLOCK
 
 
 def rank_weights_reference(n):
@@ -310,7 +310,7 @@ class TestPsiNumeric:
             curve = _slide_curve(d)
             estimates = psi_numeric(d, 4)
             for k in range(1, 5):
-                alone = right_derivatives(lambda t: curve(t).value, k)[k - 1]
+                alone = right_derivatives(lambda t: curve(t)[1], k)[k - 1]
                 assert (estimates[k - 1].value, estimates[k - 1].error) == (
                     alone.value,
                     alone.error,
@@ -813,6 +813,11 @@ class TestDimension:
             tangibility_check(self._report({2: -0.4, 3: 0.1}))
         with pytest.raises(ValueError):
             tangibility_check(self._report({1: 0.5, 2: -0.4}), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            tangibility_check(self._report({1: 0.5, 2: -0.4}), tol=tol)
 
     def test_defaults_follow_neg_log_reference(self):
         assert neg_log_derivative(2) == pytest.approx(-zeta_int(2), rel=1e-14)
