@@ -34,6 +34,7 @@ from .errors import ConfigError, DivergenceError, DuplicatePointError, ParseErro
 from .geometry import PAIRWISE_CAP
 from .harness import (
     ExperimentConfig,
+    _checked_cap,
     _checked_tol,
     load_points,
     render_reports,
@@ -109,9 +110,10 @@ def _write(text: str, out: str | None) -> None:
 def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
     orders = _parse_int_list(args.orders, "--orders")
     requests = dict.fromkeys(_parse_kinds(args.stat), orders)
-    # A bad request or tolerance fails before the file is read.
+    # A bad request, tolerance or cap fails before the file is read.
     _checked_requests(requests)
     tol = _checked_tol(args.tol)
+    _checked_cap(args.pairwise_cap)
     points = load_points(args.file, args.points_format)
     payload: dict[str, Any] = {
         "source": args.file,

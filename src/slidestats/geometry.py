@@ -31,8 +31,9 @@ queries on one thread, so the pool's ``workers`` is the run's whole thread
 budget.
 
 scipy is loaded only where it is used: :func:`load_spatial` imports
-``scipy.spatial`` on the first k-d tree or Euclidean ``pdist``, so the 1-d
-sort, the callable-metric scans and the rest of the package never load it.
+``scipy.spatial`` on the first k-d tree, so the 1-d sort, the Euclidean
+pairwise distances (a numpy kernel of this module), the callable-metric
+scans and the rest of the package never load it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from contextvars import Context, ContextVar, copy_context
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicatePointError
 
@@ -357,10 +359,10 @@ def _nn_euclidean_1d(coords: np.ndarray) -> np.ndarray:
 def load_spatial() -> Any:
     """``scipy.spatial``, imported on the first call.
 
-    Importing it takes about 0.4 s, most of the package's import time, and
-    only the k-d tree and Euclidean pairwise extractions need it.
+    Importing it takes about 0.4 s and 35 MB, most of the package's import
+    time, and only the k-d tree of :func:`_nn_euclidean_tree` needs it.
     """
-    import scipy.spatial.distance
+    import scipy.spatial
 
     return scipy.spatial
 
@@ -431,14 +433,58 @@ def distinct_nearest(raw: DescendingDistances) -> DescendingDistances:
     return raw
 
 
+def _pairwise_euclidean(coords: np.ndarray) -> np.ndarray:
+    """The distances of all pairs of rows of ``coords``, shift by shift.
+
+    Point ``i`` pairs with point ``(i + s) mod k`` for the shifts
+    ``s = 1..(k-1)//2``, and for even ``k`` the first ``k/2`` points pair at
+    shift ``k/2`` too, which meets every unordered pair once.  Row ``s`` of a
+    sliding-window view of a doubled coordinate column is that column
+    shifted by ``s``, so a block of shifts costs one subtract, square and add
+    per coordinate, with no index arrays, and one ``sqrt`` at the end.  The
+    squares are summed in coordinate order, as ``pdist`` of
+    ``scipy.spatial.distance`` sums them, so the sorted distances equal its
+    sorted output bit for bit.  Beyond the result this holds the doubled
+    coordinates, ``2 k m`` floats, and in two or more dimensions one work
+    block of ``max(1, _BLOCK // k)`` shifts of ``k`` floats.
+    """
+    k, m = coords.shape
+    out = np.empty(k * (k - 1) // 2)
+    doubled = np.concatenate([coords.T, coords.T], axis=1)
+    shifted = [sliding_window_view(column, k) for column in doubled]
+    step = max(1, _BLOCK // k)
+    last = (k - 1) // 2
+    # (first shift, end shift, points paired at each shift)
+    blocks = [(lo, min(lo + step, last + 1), k) for lo in range(1, last + 1, step)]
+    if k % 2 == 0:
+        blocks.append((k // 2, k // 2 + 1, k // 2))
+    work = None
+    if m > 1:
+        work = np.empty(max((hi - lo) * width for lo, hi, width in blocks))
+    pos = 0
+    for lo, hi, width in blocks:
+        total = out[pos : pos + (hi - lo) * width].reshape(hi - lo, width)
+        for c in range(m):
+            diff = total if c == 0 else work[: total.size].reshape(total.shape)
+            np.subtract(shifted[c][lo:hi, :width], doubled[c, :width], out=diff)
+            np.square(diff, out=diff)
+            if c:
+                np.add(total, diff, out=total)
+        pos += total.size
+    return np.sqrt(out, out=out)
+
+
 def pairwise_distances(
     points: PointSet, max_points: int = PAIRWISE_CAP
 ) -> DescendingDistances:
     """All k(k-1)/2 distances between distinct pairs, sorted descending.
 
-    ``max_points`` caps the quadratic blowup; pass a larger value to override.
+    ``max_points`` caps the quadratic blowup; pass a larger value to
+    override.  A cap below 2 allows no pair and raises :class:`ValueError`.
     Coinciding points raise :class:`DuplicatePointError`.
     """
+    if max_points < 2:
+        raise ValueError(f"max_points must be at least 2, got {max_points!r}")
     k = len(points)
     if k < 2:
         raise ValueError("pairwise distances need at least 2 points")
@@ -456,7 +502,7 @@ def pairwise_distances(
                 out[pos] = points.metric(items[i], items[j])
                 pos += 1
     else:
-        out = load_spatial().distance.pdist(points.coords)
+        out = _pairwise_euclidean(points.coords)
     return DescendingDistances._from_owned(
         out,
         "point set contains coinciding points; pairwise distances "

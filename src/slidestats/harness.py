@@ -101,6 +101,15 @@ def _checked_tol(tol: Any) -> float:
     return number
 
 
+def _checked_cap(cap: int) -> None:
+    """Check ``cap``, the most points a pairwise extraction takes.
+
+    A cap below 2 allows no pair, so it is a ConfigError.
+    """
+    if cap < 2:
+        raise ConfigError(f"pairwise_cap must be at least 2, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class StatisticRequest:
     """One family of statistics to compute on every replicate."""
@@ -170,8 +179,7 @@ class ExperimentConfig:
         object.__setattr__(self, "tangibility_tol", _checked_tol(self.tangibility_tol))
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.pairwise_cap < 2:
-            raise ConfigError("pairwise_cap must be at least 2")
+        _checked_cap(self.pairwise_cap)
         if not isinstance(self.cross_check, bool):
             raise ConfigError(
                 f"cross_check must be a boolean, got {self.cross_check!r}"

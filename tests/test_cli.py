@@ -97,6 +97,8 @@ class TestStats:
             (["--orders", "0"], "orders must be positive"),
             (["--tol", "0"], "tangibility_tol must be a positive number"),
             (["--tol", "inf"], "tangibility_tol must be a positive number"),
+            (["--pairwise-cap", "-3"], "pairwise_cap must be at least 2"),
+            (["--pairwise-cap", "0"], "pairwise_cap must be at least 2"),
         ],
     )
     def test_bad_request_fails_before_reading_the_file(

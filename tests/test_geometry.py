@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from slidestats import (
     DescendingDistances,
     DuplicatePointError,
     PointSet,
     ProcessSpec,
+    assembly_numbers,
     consecutive_gaps,
     generate,
     nn_distances,
@@ -290,11 +291,30 @@ class TestPairwise:
         ).values
         assert fast == pytest.approx(slow, rel=1e-9)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        k=st.integers(2, 80),
+        m=st.integers(1, 6),
+        scale=st.integers(-6, 6).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_euclidean_matches_pdist_bit_for_bit(self, k, m, scale, seed):
+        coords = scale * np.random.default_rng(seed).standard_normal((k, m))
+        fast = pairwise_distances(PointSet.from_coords(coords)).values
+        assert np.sort(fast).tobytes() == np.sort(pdist(coords)).tobytes()
+
     def test_cap(self, rng):
         points = PointSet.from_coords(rng.random((12, 1)))
         with pytest.raises(ValueError):
             pairwise_distances(points, max_points=10)
         assert len(pairwise_distances(points, max_points=12)) == 66
+
+    @pytest.mark.parametrize("cap", [1, 0, -3])
+    def test_cap_below_two_is_named(self, rng, cap):
+        points = PointSet.from_coords(rng.random((12, 2)))
+        message = f"max_points must be at least 2, got {cap}"
+        with pytest.raises(ValueError, match=message):
+            assembly_numbers(points, max_points=cap)
 
     def test_duplicates_always_rejected(self):
         points = PointSet.from_coords([[0.0], [0.0], [1.0]])

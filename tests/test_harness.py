@@ -88,7 +88,7 @@ def record_queries(monkeypatch):
     monkeypatch.setattr(
         geometry,
         "load_spatial",
-        lambda: SimpleNamespace(cKDTree=SpyTree, distance=spatial.distance),
+        lambda: SimpleNamespace(cKDTree=SpyTree),
     )
     return queries
 

@@ -6,7 +6,10 @@ block: the copy of its points, their distances and their indices (the
 tree's nodes are allocated in C++, which tracemalloc does not see).  The
 oracle's slide curve holds two (the logs and one work buffer) once the rank
 weights are shared, and builds the weights as a third outside that scope.
-tracemalloc measures each stage's peak on 2·10^5 points or distances.
+The pairwise extraction holds its result and one fixed block: the doubled
+coordinates, one block of shifts and numpy's iterator buffers.  tracemalloc
+measures each stage's peak on 2·10^5 points or distances, or on 700 points
+(2.4·10^5 distances) for the pairwise extraction.
 Outside :func:`shared_rank_weights` no rank weights outlive the call that
 built them.
 """
@@ -23,6 +26,7 @@ from slidestats import (
     assembly_numbers,
     level_numbers,
     nn_distances,
+    pairwise_distances,
     point_statistics,
     slide_numbers,
 )
@@ -39,6 +43,7 @@ N = 200_000
 ARRAY = 8 * N
 # Array headers and small Python objects; a small fraction of one array.
 SLACK = 64 * 1024
+PAIRWISE_K = 700
 
 
 def query_block(m):
@@ -47,6 +52,22 @@ def query_block(m):
     The block's copy of its points, and its distances and int64 indices.
     """
     return (m + 2) * 8 * geometry._QUERY_BLOCK
+
+
+def pairwise_block(k, m):
+    """Bytes of the pairwise kernel's fixed block on k m-dimensional points.
+
+    One work block of shifts, each k floats, and the doubled coordinates.
+    numpy adds its iterator buffers, at most ``np.getbufsize()`` floats for
+    each of the two strided operands of a block's subtract: the shifted
+    coordinates (a sliding-window view) and the broadcast column.
+    """
+    shifts = max(1, geometry._BLOCK // k)
+    return 8 * (shifts * k + 2 * k * m + 2 * np.getbufsize())
+
+
+def pairwise_stage(points):
+    return pairwise_distances(PointSet.from_coords(points[2].coords[:PAIRWISE_K]))
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +108,10 @@ STAGES = {
     "closed_forms_1_4": (lambda points, d: _closed_forms(d, 4), 2 * ARRAY),
     "level": (lambda points, d: level_derivatives(d, 4), 2 * ARRAY),
     "oracle_curve": (lambda points, d: evaluate_curve(d), 3 * ARRAY),
+    "pairwise": (
+        lambda points, d: pairwise_stage(points),
+        8 * (PAIRWISE_K * (PAIRWISE_K - 1) // 2) + pairwise_block(PAIRWISE_K, 2),
+    ),
 }
 
 

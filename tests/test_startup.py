@@ -1,4 +1,4 @@
-"""Start-up: scipy loads only with the first k-d tree or pdist.
+"""Start-up: scipy loads only with the first k-d tree.
 
 The pytest process has long imported ``scipy.spatial`` through other test
 modules, so each check runs in a fresh interpreter.
@@ -49,16 +49,24 @@ STARTUP = """
         assert cli.main(["validate"]) == 0
         assert cli.main(["entropy", "uniform"]) == 0
         assert cli.main(["stats", sys.argv[1], "--stat", "slide,level"]) == 0
+        assert cli.main(["stats", sys.argv[1], "--stat", "assembly"]) == 0
     assert not scipy_modules(), scipy_modules()
 
     extraction = getattr(slidestats, sys.argv[2])
     extraction(slidestats.PointSet.from_coords([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
-    assert "scipy.spatial" in sys.modules
+    if sys.argv[3] == "True":
+        assert "scipy.spatial" in sys.modules
+    else:
+        assert not scipy_modules(), scipy_modules()
 """
 
 
-@pytest.mark.parametrize("extraction", ["nn_distances", "pairwise_distances"])
-def test_scipy_loads_with_the_first_euclidean_extraction(tmp_path, extraction):
+@pytest.mark.parametrize(
+    "extraction, loads",
+    [("nn_distances", True), ("pairwise_distances", False)],
+    ids=["nn_distances", "pairwise_distances"],
+)
+def test_scipy_loads_only_with_the_k_d_tree(tmp_path, extraction, loads):
     line_file = tmp_path / "line.csv"
     line_file.write_text("".join(f"{x * x}\n" for x in range(20)))
-    run_fresh(STARTUP, line_file, extraction)
+    run_fresh(STARTUP, line_file, extraction, loads)
