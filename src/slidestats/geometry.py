@@ -4,7 +4,10 @@ A point set either carries Euclidean coordinates or arbitrary elements with a
 user metric.  Euclidean nearest neighbours come from a sort in one dimension
 and from a k-d tree otherwise; the tests hold the tree to an all-pairs scan.
 Duplicate detection is exact coordinate equality, surfacing as a zero
-distance, never an epsilon test.
+distance, never an epsilon test.  One-column Euclidean coordinates of an
+integer dtype stay integers, and the 1-d kernels take their gaps exactly, so
+points that differ in the 54th or a later significant bit (Cantor codes, say)
+still count as distinct.
 
 :class:`DescendingDistances` is the one place a distance sequence is sorted
 and validated, and its constructor is the one way to build it from a
@@ -276,11 +279,23 @@ class PointSet:
         coords: Any,
         metric: str | Callable[[Any, Any], float] = "euclidean",
     ) -> "PointSet":
-        coords = np.asarray(coords, dtype=float)
+        """Points from ``coords``: rows are points, a 1-d array is one column.
+
+        One column of a numpy integer dtype under the Euclidean metric stays
+        integer, as int64 or uint64 by sign, and the 1-d extractions take
+        its gaps exactly; the pairwise extraction casts it to float.  Every
+        other input becomes float.
+        """
+        coords = np.asarray(coords)
         if coords.ndim == 1:
             coords = coords[:, None]
         if coords.ndim != 2 or coords.size == 0:
             raise ValueError("coords must be a nonempty (k, m) array with m >= 1")
+        kind = coords.dtype.kind
+        if kind in "iu" and coords.shape[1] == 1 and metric == "euclidean":
+            coords = coords.astype(np.int64 if kind == "i" else np.uint64, copy=False)
+        else:
+            coords = coords.astype(float, copy=False)
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords must be finite")
         return cls(coords, None, metric)
@@ -342,15 +357,30 @@ def _nn_metric_scan(items: Sequence[Any], metric: Callable[[Any, Any], float]) -
     return best
 
 
+def _sorted_gaps(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted copy of a 1-d coordinate column, and its float gaps.
+
+    Integer coordinates are subtracted as uint64, which gives every gap of
+    sorted int64 or uint64 values exactly, up to ``2^64 - 1``, before it is
+    rounded once to float; so two codes that round to the same float still
+    leave a positive gap.
+    """
+    x = np.sort(column)
+    exact = x.view(np.uint64) if x.dtype.kind == "i" else x
+    gaps = np.empty(x.size - 1)
+    np.subtract(exact[1:], exact[:-1], out=gaps)
+    return x, gaps
+
+
 def _nn_euclidean_1d(coords: np.ndarray) -> np.ndarray:
     """Nearest-neighbour distances of 1-d points, in sorted-coordinate order.
 
     Holds two arrays: the sorted copy of the coordinates and their gaps.
     Each point's distance, the smaller gap beside it, is written over the
-    sorted copy, which is returned.
+    sorted copy, read as floats, which is returned.
     """
-    x = np.sort(coords[:, 0])
-    gaps = np.diff(x)
+    x, gaps = _sorted_gaps(coords[:, 0])
+    x = x.view(np.float64)
     x[0], x[-1] = gaps[0], gaps[-1]
     np.minimum(gaps[:-1], gaps[1:], out=x[1:-1])
     return x
@@ -502,7 +532,7 @@ def pairwise_distances(
                 out[pos] = points.metric(items[i], items[j])
                 pos += 1
     else:
-        out = _pairwise_euclidean(points.coords)
+        out = _pairwise_euclidean(points.coords.astype(float, copy=False))
     return DescendingDistances._from_owned(
         out,
         "point set contains coinciding points; pairwise distances "
@@ -515,13 +545,14 @@ def consecutive_gaps(points: PointSet) -> DescendingDistances:
 
     An opt-in alternative to nearest-neighbour extraction for ordered data
     such as integer sequences.  Requires 1-d Euclidean coordinates and at
-    least three points so that at least two gaps exist.
+    least three points so that at least two gaps exist.  Integer
+    coordinates give exact gaps, rounded once to float.
     """
     if callable(points.metric) or points.coords.shape[1] != 1:
         raise ValueError("consecutive gaps require 1-d Euclidean coordinates")
     if len(points) < 3:
         raise ValueError("consecutive gaps need at least 3 points")
-    gaps = np.diff(np.sort(points.coords[:, 0]))
+    gaps = _sorted_gaps(points.coords[:, 0])[1]
     return DescendingDistances._from_owned(
         gaps, "coinciding points leave a zero gap"
     )

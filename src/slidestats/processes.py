@@ -9,6 +9,10 @@ scheduled across workers.
 
 Random kinds cover the distributions used in the simulation studies;
 cos_iteration, primes and from_file are deterministic and ignore the stream.
+Every kind gives float coordinates except cantor, whose points are exact
+uint64 codes in units of 3^-40 (see :func:`_gen_cantor`); the statistics are
+scale invariant, and :meth:`PointSet.from_coords` keeps the codes integer, so
+the 1-d extractions take their gaps exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ GENERATOR_NAME = "Philox"
 
 _SIERPINSKI_BURN_IN = 100
 _CHAOS_CHUNK = 512
-_CANTOR_DIGITS = 40
+# Byte b, bits b_0 (most significant) to b_7, as the 8 ternary digits 2 b_j:
+# sum 2 b_j 3^(7-j), at most 3^8 - 1.  Built in Python: numpy ufuncs at
+# import would add their code pages to the RSS of every process.
+_CANTOR_BYTE_DIGITS = np.array(
+    [sum(2 * (b >> (7 - j) & 1) * 3 ** (7 - j) for j in range(8)) for b in range(256)],
+    dtype=np.uint64,
+)
+_CANTOR_BYTES = 5  # 40 ternary digits; 3^40 < 2^64
 
 
 @dataclass(frozen=True)
@@ -109,9 +120,18 @@ def _gen_inv_sqrt(rng, k, params):
 
 
 def _gen_cantor(rng, k, params):
-    digits = 2.0 * rng.integers(0, 2, size=(k, _CANTOR_DIGITS))
-    weights = 3.0 ** -np.arange(1, _CANTOR_DIGITS + 1)
-    return (digits @ weights)[:, None]
+    # Each point is 5 random bytes, read as 40 ternary digits of 0 or 2, most
+    # significant first: the uint64 code sum d_j 3^(40-j) of the point
+    # sum d_j 3^-j.  Horner's rule in powers of 3^8 keeps every partial code
+    # below 3^40 < 2^64, so it is exact, and two points tie only when all 40
+    # digits agree.  Beyond the codes this holds the bytes and one row of
+    # table values.
+    raw = rng.integers(0, 256, size=(_CANTOR_BYTES, k), dtype=np.uint8)
+    code = _CANTOR_BYTE_DIGITS[raw[0]]
+    for row in raw[1:]:
+        code *= np.uint64(3**8)
+        code += _CANTOR_BYTE_DIGITS[row]
+    return code[:, None]
 
 
 def _gen_sierpinski(rng, k, params):

@@ -348,3 +348,67 @@ class TestConsecutiveGaps:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             consecutive_gaps(PointSet.from_coords([1.0, 2.0]))
+
+
+class TestIntegerCoordinates:
+    """One integer column stays integer, and the 1-d kernels take exact gaps."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        values=st.lists(
+            st.integers(-(2**52), 2**52), min_size=3, max_size=60, unique=True
+        ),
+        unsigned=st.booleans(),
+    )
+    def test_matches_float_path_where_both_are_exact(self, values, unsigned):
+        codes = np.array(values, dtype=np.int64)
+        if unsigned:
+            codes = (codes + 2**52).astype(np.uint64)
+        exact = PointSet.from_coords(codes)
+        assert exact.coords.dtype == codes.dtype
+        floats = PointSet.from_coords(codes.astype(float))
+        for extract in (nn_distances, consecutive_gaps):
+            assert extract(exact).values.tobytes() == extract(floats).values.tobytes()
+
+    def test_codes_that_round_together_stay_distinct(self):
+        codes = np.array([3**40 - 1, 3**40 - 2, 0], dtype=np.uint64)
+        assert float(codes[0]) == float(codes[1])
+        assert nn_distances(PointSet.from_coords(codes)).values[-1] == 1.0
+        assert consecutive_gaps(PointSet.from_coords(codes)).values[-1] == 1.0
+        floats = PointSet.from_coords(codes.astype(float))
+        with pytest.raises(DuplicatePointError):
+            nn_distances(floats)
+        with pytest.raises(DuplicatePointError):
+            consecutive_gaps(floats)
+
+    def test_int64_extremes_do_not_overflow(self):
+        lo, hi = -(2**63), 2**63 - 1
+        points = PointSet.from_coords(np.array([hi, 0, lo], dtype=np.int64))
+        assert list(nn_distances(points).values) == [float(hi), float(hi), float(hi)]
+        assert list(consecutive_gaps(points).values) == [float(-lo), float(hi)]
+        ends = PointSet.from_coords(np.array([lo, hi], dtype=np.int64))
+        assert list(nn_distances(ends).values) == [float(2**64 - 1)] * 2
+
+    def test_small_integer_dtypes_widen(self):
+        points = PointSet.from_coords(np.array([-128, 127, 0], dtype=np.int8))
+        assert points.coords.dtype == np.int64
+        assert list(consecutive_gaps(points).values) == [128.0, 127.0]
+        points = PointSet.from_coords(np.array([255, 0, 1], dtype=np.uint8))
+        assert points.coords.dtype == np.uint64
+        assert list(consecutive_gaps(points).values) == [254.0, 1.0]
+
+    def test_pairwise_casts_to_float(self, rng):
+        codes = rng.integers(0, 2**62, size=300, dtype=np.uint64)
+        exact = pairwise_distances(PointSet.from_coords(codes)).values
+        floats = pairwise_distances(PointSet.from_coords(codes.astype(float))).values
+        assert exact.tobytes() == floats.tobytes()
+
+    def test_other_integer_inputs_become_float(self):
+        two_columns = PointSet.from_coords(np.array([[0, 1], [2, 3]], dtype=np.int64))
+        assert two_columns.coords.dtype == np.float64
+        with_metric = PointSet.from_coords(
+            np.array([0, 1, 3], dtype=np.uint64), metric=euclidean
+        )
+        assert with_metric.coords.dtype == np.float64
+        assert list(nn_distances(with_metric).values) == [2.0, 1.0, 1.0]
+        assert PointSet.from_coords([True, False]).coords.dtype == np.float64

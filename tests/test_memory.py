@@ -9,7 +9,10 @@ weights are shared, and builds the weights as a third outside that scope.
 The pairwise extraction holds its result and one fixed block: the doubled
 coordinates, one block of shifts and numpy's iterator buffers.  tracemalloc
 measures each stage's peak on 2·10^5 points or distances, or on 700 points
-(2.4·10^5 distances) for the pairwise extraction.
+(2.4·10^5 distances) for the pairwise extraction.  Drawing Cantor points
+holds their uint64 codes, 5 random bytes per point and one row of table
+values; the 1-d extraction of those integer codes holds two arrays and
+numpy's buffer for casting the gaps to float.
 Outside :func:`shared_rank_weights` no rank weights outlive the call that
 built them.
 """
@@ -23,7 +26,9 @@ import pytest
 
 from slidestats import (
     PointSet,
+    ProcessSpec,
     assembly_numbers,
+    generate,
     level_numbers,
     nn_distances,
     pairwise_distances,
@@ -72,9 +77,16 @@ def pairwise_stage(points):
 
 @pytest.fixture(scope="module")
 def points():
-    """Uniform point sets of N points, by dimension."""
+    """Uniform point sets of N points, by dimension, and N Cantor codes.
+
+    ``scipy.spatial`` is imported here, so that no traced stage counts its
+    import, whichever test of the suite first loads it.
+    """
+    geometry.load_spatial()
     rng = np.random.default_rng(0)
-    return {m: PointSet.from_coords(rng.random((N, m))) for m in (1, 2, 3)}
+    sets = {m: PointSet.from_coords(rng.random((N, m))) for m in (1, 2, 3)}
+    sets["cantor"] = generate(ProcessSpec("cantor"), N)
+    return sets
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +115,12 @@ STAGES = {
     "nn_1d": (lambda points, d: nn_distances(points[1]), 2 * ARRAY),
     "nn_2d": (lambda points, d: nn_distances(points[2]), 2 * ARRAY + query_block(2)),
     "nn_3d": (lambda points, d: nn_distances(points[3]), 2 * ARRAY + query_block(3)),
+    "cantor": (lambda points, d: generate(ProcessSpec("cantor"), N), 3 * ARRAY),
+    # the uint64 gaps reach their float array through numpy's cast buffer
+    "nn_1d_integer": (
+        lambda points, d: nn_distances(points["cantor"]),
+        2 * ARRAY + 8 * np.getbufsize(),
+    ),
     "weights": (lambda points, d: _rank_weights(N), 2 * ARRAY),
     "closed_forms_1_2": (lambda points, d: _closed_forms(d, 2), 2 * ARRAY),
     "closed_forms_1_4": (lambda points, d: _closed_forms(d, 4), 2 * ARRAY),

@@ -135,13 +135,16 @@ class TestGeometry:
         assert 0.70 < float((r2 > 0.25).mean()) < 0.80
 
     def test_cantor_points_have_middle_thirds_removed(self):
-        points = generate(ProcessSpec("cantor", seed=9), 200)
-        x = points.coords[:, 0]
-        assert x.min() >= 0.0 and x.max() <= 1.0
-        for _ in range(5):  # five ternary digits deep
-            digit = np.floor(3.0 * x)
-            assert not np.any(digit == 1.0)
-            x = 3.0 * x - digit
+        # The points are exact codes in units of 3^-40: all 40 ternary
+        # digits are 0 or 2, and both occur at every depth.
+        points = generate(ProcessSpec("cantor", seed=9), 2000)
+        codes = points.coords[:, 0]
+        assert points.coords.dtype == np.uint64
+        assert int(codes.max()) < 3**40
+        for j in range(40):
+            digit = codes // np.uint64(3**j) % np.uint64(3)
+            assert not np.any(digit == 1)
+            assert np.any(digit == 0) and np.any(digit == 2)
 
     @pytest.mark.parametrize(
         "k", [1, 2, 3, 411, 412, 413, 923, 924, 925, 1000, 4096, 10**4]
