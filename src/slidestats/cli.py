@@ -36,6 +36,7 @@ from .harness import (
     ExperimentConfig,
     _checked_cap,
     _checked_tol,
+    _process_label,
     load_points,
     render_reports,
     run_experiment,
@@ -273,6 +274,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             swept = json.loads(json.dumps(data))  # deep copy, config stays JSON
             swept["process"].setdefault("params", {})["dim"] = dim
             reports.append(run_experiment(ExperimentConfig.from_dict(swept)))
+    for report in reports:  # on stderr, so stdout is the same whatever failed
+        failed = report.failed_replicates
+        if failed:
+            indices = ", ".join(str(f.replicate) for f in failed)
+            print(
+                f"warning: {_process_label(report.config.process)}: {len(failed)} of "
+                f"{report.config.replicates} replicates failed ({indices}); "
+                f"first error: {failed[0].error}",
+                file=sys.stderr,
+            )
     _write(render_reports(reports, args.format), args.out)
     return 0
 

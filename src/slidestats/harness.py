@@ -3,9 +3,9 @@
 An experiment pairs a point process with a sample size, a replicate count,
 and a set of statistic requests.  Replicate ``r`` always draws from the
 substream ``(master_seed, r)``, so a report is bit-for-bit reproducible no
-matter how the replicates are scheduled across workers.  A degenerate
-sample (coincident points) is retried on a fresh substream a bounded
-number of times and then recorded as a failure, never dropped silently.
+matter how the replicates are scheduled across workers.  Each replicate is
+one draw: a degenerate sample (coincident points) fails its replicate and is
+recorded as a failure, never redrawn or dropped silently.
 
 Configs and reports go through one JSON codec that walks the dataclass
 fields, so the field list is the schema.  Every config check lives in
@@ -74,10 +74,7 @@ __all__ = [
     "run_experiment",
 ]
 
-SCHEMA_VERSION = 1
-
-_MAX_ATTEMPTS = 4  # initial draw plus three retries
-_ATTEMPT_STRIDE = 2**32  # retry substreams must never collide with replicates
+SCHEMA_VERSION = 2
 
 
 def _is_number(value: Any) -> bool:
@@ -136,9 +133,7 @@ class StatisticRequest:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    Replicate ``r`` draws from the substream ``(master_seed, r)``; the
-    process's own ``seed`` has no effect here, so two configs that differ
-    only in ``process.seed`` give identical replicates.
+    Replicate ``r`` draws once, from the substream ``(master_seed, r)``.
     """
 
     process: ProcessSpec
@@ -221,8 +216,12 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class FailedReplicate:
+    """A replicate whose one draw failed, with the error it raised.
+
+    ``replicate`` is also the index of the substream it drew from.
+    """
+
     replicate: int
-    attempts: int
     error: str
 
 
@@ -244,15 +243,20 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentReport":
-        """Rebuild a report from ``to_dict`` output; malformed input is a ParseError."""
+        """Rebuild a report (schema v1 or v2); malformed input is a ParseError."""
         try:
             version = data.get("schema_version")
-            if version != SCHEMA_VERSION:
+            if version not in (1, SCHEMA_VERSION):
                 raise ParseError(
                     f"unsupported report schema {version!r}; "
-                    f"expected {SCHEMA_VERSION}"
+                    f"expected {SCHEMA_VERSION} or 1"
                 )
             body = {k: v for k, v in data.items() if k != "schema_version"}
+            if version == 1:  # v2 dropped process.seed and FailedReplicate.attempts
+                body = json.loads(json.dumps(body))  # deep copy, to edit
+                body["config"]["process"].pop("seed", None)
+                for raw in body["failed_replicates"]:
+                    raw.pop("attempts", None)
             kwargs = _json_kwargs(cls, body, "report")
             kwargs["config"] = ExperimentConfig.from_dict(kwargs["config"])
             kwargs["per_replicate"] = {
@@ -337,41 +341,36 @@ def _point_statistics(config: ExperimentConfig, points: PointSet) -> dict[str, f
 def _replicate_outcome(
     config: ExperimentConfig, replicate: int, fixed: PointSet | None
 ) -> dict[str, float] | FailedReplicate:
-    """Statistics of one replicate, retried on coincident points.
+    """Statistics of one replicate's one draw; coincident points fail it.
 
     ``fixed`` is the point set of a deterministic kind, drawn once per
-    experiment; otherwise each attempt draws from its own substream.
+    experiment; otherwise the replicate draws from its own substream.
     """
-    last_error = "unknown"
-    for attempt in range(_MAX_ATTEMPTS):
-        index = attempt * _ATTEMPT_STRIDE + replicate
-        try:
-            points = fixed
-            if points is None:
-                stream = substream(config.master_seed, index)
-                points = generate(config.process, config.sample_size, stream=stream)
-            return _point_statistics(config, points)
-        except DuplicatePointError as exc:
-            last_error = str(exc)
-        except Exception as exc:
-            _name_draw(exc, replicate, attempt)
-            raise
-    return FailedReplicate(replicate, _MAX_ATTEMPTS, last_error)
+    try:
+        points = fixed
+        if points is None:
+            stream = substream(config.master_seed, replicate)
+            points = generate(config.process, config.sample_size, stream=stream)
+        return _point_statistics(config, points)
+    except DuplicatePointError as exc:
+        return FailedReplicate(replicate, str(exc))
+    except Exception as exc:
+        _name_draw(exc, replicate)
+        raise
 
 
-def _name_draw(exc: Exception, replicate: int, attempt: int) -> None:
+def _name_draw(exc: Exception, replicate: int) -> None:
     # Appending to __notes__ is what BaseException.add_note does on Python
     # 3.11+, and it also works on 3.10.
-    index = attempt * _ATTEMPT_STRIDE + replicate
-    note = f"replicate {replicate}, attempt {attempt}, substream {index}"
+    note = f"replicate {replicate}, substream {replicate}"
     exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
 
 
 def _fixed_points(config: ExperimentConfig) -> PointSet | None:
     """The one point set of a kind that ignores its stream, or None.
 
-    Every replicate and retry of such a kind would draw the same points, so
-    they are drawn once; a failure is named as replicate 0's first draw.
+    Every replicate of such a kind would draw the same points, so they are
+    drawn once; a failure is named as replicate 0's draw.
     """
     if not _ignores_stream(config.process.kind):
         return None
@@ -380,7 +379,7 @@ def _fixed_points(config: ExperimentConfig) -> PointSet | None:
             config.process, config.sample_size, stream=substream(config.master_seed, 0)
         )
     except Exception as exc:
-        _name_draw(exc, 0, 0)
+        _name_draw(exc, 0)
         raise
 
 

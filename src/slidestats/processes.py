@@ -240,17 +240,10 @@ def _ignores_stream(kind: str) -> bool:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """A named point process with parameters and a default seed.
-
-    ``seed`` is used only by :func:`generate` called without a stream.
-    :func:`~slidestats.harness.run_experiment` always draws from substreams
-    of the config's ``master_seed``, so ``seed`` has no effect on an
-    experiment; it is kept because configs and reports carry it.
-    """
+    """A named point process with its parameters."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
@@ -271,11 +264,6 @@ class ProcessSpec:
             if dim < 1:
                 raise ConfigError(error)
             object.__setattr__(self, "params", {**self.params, "dim": dim})
-        error = "seed must be a nonnegative integer"
-        seed = _as_int(self.seed, error)
-        if seed < 0:
-            raise ConfigError(error)
-        object.__setattr__(self, "seed", seed)
 
 
 def generate(
@@ -283,14 +271,14 @@ def generate(
 ) -> PointSet:
     """Generate ``k`` points of the process named by ``spec``.
 
-    A pure function of ``(spec, k, stream)``; when ``stream`` is omitted the
-    spec's own seed drives stream 0.  Deterministic kinds ignore the stream
+    A pure function of ``(spec, k, stream)``; when ``stream`` is omitted it
+    draws from ``RandomStream(0, 0)``.  Deterministic kinds ignore the stream
     entirely.
     """
     if k < 1:
         raise ValueError("at least one point must be requested")
     if stream is None:
-        stream = RandomStream(spec.seed, 0)
+        stream = RandomStream(0, 0)
     builder = _KINDS[spec.kind][0]
     coords = builder(stream.generator(), k, spec.params)
     return PointSet.from_coords(coords)

@@ -199,9 +199,10 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "uniform_cube(dim=2)" in out
-        assert "rho" in out
+        captured = capsys.readouterr()
+        assert "uniform_cube(dim=2)" in captured.out
+        assert "rho" in captured.out
+        assert captured.err == ""  # no replicate failed
 
     def test_json_round_trip_and_determinism(self, capsys):
         argv = [
@@ -262,6 +263,29 @@ class TestSimulate:
         assert main([*argv, "--orders", "9"]) == 2
         assert capsys.readouterr().err == "error: orders above 4 have no closed form\n"
 
+    def test_failed_replicates_are_named_on_stderr(self, dup_file, capsys):
+        argv = [
+            "simulate",
+            "--process", "from_file",
+            "--param", f"path={dup_file}",
+            "--size", "3",
+            "--replicates", "2",
+            "--format", "csv",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: from_file(path={dup_file}): 2 of 2 replicates failed "
+            "(0, 1); first error: point set contains coinciding points; "
+            "nearest-neighbour distances require distinct points\n"
+        )
+        label = f"from_file(path={dup_file})"
+        assert captured.out.splitlines() == [
+            "process,statistic,order,replicates,mean,sd",
+            f"{label},slide,1,0,,",
+            f"{label},slide,2,0,,",
+        ]
+
     def test_dims_requires_uniform_cube(self, capsys):
         assert main(["simulate", "--dims", "1,2", "--process", "normal"]) == 2
 
@@ -301,6 +325,11 @@ class TestSimulate:
                 "process",
             ),
             ({"process": {"kind": "uniform_cube", "params": {"dim": True}}}, [], "dim"),
+            (
+                {"process": {"kind": "normal", "seed": 0}},
+                [],
+                "unknown process keys: ['seed']",
+            ),
         ],
         ids=[
             "override0",
@@ -309,6 +338,7 @@ class TestSimulate:
             "process-array-with-dims",
             "params-array-with-dims",
             "bool-dim",
+            "process-seed",
         ],
     )
     def test_malformed_config_file_is_a_config_error(

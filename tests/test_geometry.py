@@ -14,6 +14,7 @@ from slidestats import (
     DuplicatePointError,
     PointSet,
     ProcessSpec,
+    RandomStream,
     assembly_numbers,
     consecutive_gaps,
     generate,
@@ -235,7 +236,7 @@ class TestTreeOrderQuery:
         assert np.array_equal(got, np.sort(reference)[::-1])
 
     def test_sierpinski(self):
-        points = generate(ProcessSpec("sierpinski", seed=5), 2000)
+        points = generate(ProcessSpec("sierpinski"), 2000, RandomStream(5))
         self.assert_bitwise(points, brute_force_nn(points.coords))
 
     def test_lattice_ties(self):

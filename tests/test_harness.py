@@ -20,6 +20,7 @@ from slidestats import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    FailedReplicate,
     ParseError,
     PointSet,
     ProcessSpec,
@@ -100,6 +101,22 @@ def generate_failing_at_stream_3(spec, k, stream=None):
     return generate(spec, k, stream=stream)
 
 
+TIE = (
+    "point set contains coinciding points; "
+    "nearest-neighbour distances require distinct points"
+)
+
+
+def generate_tied_at_stream_3(spec, k, stream=None):
+    """``generate`` whose draw of substream 3 repeats its first point."""
+    points = generate(spec, k, stream=stream)
+    if stream.stream_index != 3:
+        return points
+    coords = points.coords.copy()
+    coords[1] = coords[0]
+    return PointSet.from_coords(coords)
+
+
 class TestStatisticRequest:
     def test_orders_are_sorted(self):
         assert StatisticRequest("slide", (2, 1)).orders == (1, 2)
@@ -160,16 +177,14 @@ class TestConfigValidation:
                 small_config(tangibility_tol=bad)
 
     def test_numpy_integers_in_the_process_spec(self):
-        plain = small_config(process=ProcessSpec("uniform_cube", {"dim": 2}, seed=3))
-        spec = ProcessSpec("uniform_cube", {"dim": np.int64(2)}, seed=np.int64(3))
-        assert type(spec.params["dim"]) is int and type(spec.seed) is int
+        plain = small_config(process=ProcessSpec("uniform_cube", {"dim": 2}))
+        spec = ProcessSpec("uniform_cube", {"dim": np.int64(2)})
+        assert type(spec.params["dim"]) is int
         report = run_experiment(small_config(process=spec))
         assert emit_report(report) == emit_report(run_experiment(plain))
         for bad in ({"dim": np.True_}, {"dim": np.float64(2.0)}):
             with pytest.raises(ConfigError, match="uniform_cube needs an integer dim"):
                 ProcessSpec("uniform_cube", bad)
-        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
-            ProcessSpec("normal", seed=np.int64(-1))
 
     def test_repeated_statistic_kind(self):
         with pytest.raises(ConfigError):
@@ -209,6 +224,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"unknown process keys: \['rate'\]"):
             ExperimentConfig.from_dict(data)
         data = small_config().to_dict()
+        data["process"]["seed"] = 0
+        with pytest.raises(ConfigError, match=r"unknown process keys: \['seed'\]"):
+            ExperimentConfig.from_dict(data)
+        data = small_config().to_dict()
         del data["process"]["kind"]
         with pytest.raises(ConfigError, match=r"missing process keys: \['kind'\]"):
             ExperimentConfig.from_dict(data)
@@ -234,7 +253,6 @@ class TestConfigValidation:
             ("config", "tangibility_tol", "x"),
             ("config", "tangibility_tol", math.inf),
             ("config", "tangibility_tol", math.nan),
-            ("process", "seed", True),
             ("process", "params", []),
             ("process", "params", {"dim": 0}),
             ("process", "params", {"dim": True}),
@@ -279,16 +297,6 @@ class TestRunExperiment:
         a = run_experiment(small_config())
         b = run_experiment(small_config())
         assert a.to_dict() == b.to_dict()
-
-    def test_process_seed_has_no_effect(self):
-        # Replicates draw from substreams of master_seed; ProcessSpec.seed
-        # only serves generate() called without a stream.
-        base = run_experiment(small_config())
-        reseeded = run_experiment(
-            small_config(process=ProcessSpec("uniform_cube", {"dim": 2}, seed=99))
-        )
-        assert reseeded.per_replicate == base.per_replicate
-        assert reseeded.to_dict()["config"]["process"]["seed"] == 99
 
     def test_worker_count_is_invisible(self):
         for replicates, workers in ((6, 2), (7, 3)):
@@ -358,7 +366,26 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "generate", generate_failing_at_stream_3)
         with pytest.raises(RuntimeError, match="generator bug") as info:
             run_experiment(small_config(replicates=6, workers=workers))
-        assert info.value.__notes__ == ["replicate 3, attempt 0, substream 3"]
+        assert info.value.__notes__ == ["replicate 3, substream 3"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tie_fails_only_its_own_replicate(self, monkeypatch, workers):
+        config = small_config(replicates=6, workers=workers)
+        plain = run_experiment(config)
+        draws = []
+
+        def counting(spec, k, stream=None):
+            draws.append(stream.stream_index)  # list.append is atomic
+            return generate_tied_at_stream_3(spec, k, stream=stream)
+
+        monkeypatch.setattr(harness, "generate", counting)
+        report = run_experiment(config)
+        assert report.failed_replicates == (FailedReplicate(3, TIE),)
+        assert sorted(draws) == list(range(6))
+        assert report.per_replicate.keys() == plain.per_replicate.keys()
+        for key, values in plain.per_replicate.items():
+            kept = np.array(values[:3] + values[4:])
+            assert np.array(report.per_replicate[key]).tobytes() == kept.tobytes()
 
     def test_single_replicate_has_no_sd(self):
         report = run_experiment(small_config(replicates=1))
@@ -374,7 +401,7 @@ class TestRunExperiment:
         assert report.tangibility is None
         assert report.dimension_estimates is not None
 
-    def test_all_replicates_fail_on_coincident_file(self, tmp_path):
+    def test_all_replicates_fail_on_coincident_file(self, monkeypatch, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("1.0,0.0\n1.0,0.0\n2.0,0.0\n")
         config = small_config(
@@ -383,13 +410,22 @@ class TestRunExperiment:
             replicates=2,
             statistics=(StatisticRequest("slide", (1,)),),
         )
+        runs = []
+        original = harness._point_statistics
+
+        def counting(config, points):
+            runs.append(points)
+            return original(config, points)
+
+        monkeypatch.setattr(harness, "_point_statistics", counting)
         report = run_experiment(config)
         assert report.per_replicate == {}
         assert report.aggregates == {}
         assert report.dimension_estimates is None
-        assert len(report.failed_replicates) == 2
-        assert all(f.attempts == 4 for f in report.failed_replicates)
-        assert "coincid" in report.failed_replicates[0].error
+        assert report.failed_replicates == (
+            FailedReplicate(0, TIE), FailedReplicate(1, TIE)
+        )
+        assert len(runs) == 2  # once per replicate: a tie is not redrawn
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_file_is_read_once_per_experiment(self, monkeypatch, tmp_path, workers):
@@ -416,7 +452,7 @@ class TestRunExperiment:
         self, monkeypatch, tmp_path, kind, params
     ):
         if params is None:
-            path = tmp_path / "dup.csv"  # coincident points: every attempt fails
+            path = tmp_path / "dup.csv"  # coincident points: every replicate fails
             path.write_text("1.0,0.0\n1.0,0.0\n2.0,0.0\n0.5,3.0\n")
             params = {"path": str(path)}
         config = small_config(
@@ -435,7 +471,7 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigError, match="provides 2 points") as info:
             run_experiment(config)
-        assert info.value.__notes__ == ["replicate 0, attempt 0, substream 0"]
+        assert info.value.__notes__ == ["replicate 0, substream 0"]
 
     def test_uniform_square_values_are_sane(self):
         # rho_1 over the unit square sits near 1/2 already at n = 300.
@@ -510,13 +546,38 @@ class TestSerialization:
             assert loaded.to_dict() == report.to_dict()
             assert render_report(loaded, "json") == path.read_text()
 
-    def test_schema_v1_file_re_renders_byte_for_byte(self):
+    def test_schema_v1_file_loads_and_re_renders_as_v2(self):
         path = Path(__file__).parent / "data" / "report_v1.json"
         report = load_report(path)
         assert list(report.dimension_estimates) == [1, 2]
         assert list(report.tangibility.residuals) == [2]
-        assert report.failed_replicates[0].replicate == 2
-        assert render_report(report, "json") == path.read_text()
+        assert report.failed_replicates == (
+            FailedReplicate(2, "point set contains coinciding points"),
+        )
+        # v2 is v1 without process.seed and FailedReplicate.attempts.
+        expected = json.loads(path.read_text())
+        expected["schema_version"] = 2
+        del expected["config"]["process"]["seed"]
+        for failure in expected["failed_replicates"]:
+            del failure["attempts"]
+        assert render_report(report, "json") == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        )
+
+    @pytest.mark.parametrize("part", ["process", "failed_replicate"])
+    def test_v2_rejects_the_fields_v1_dropped(self, tmp_path, part):
+        data = json.loads(render_report(run_experiment(small_config()), "json"))
+        if part == "process":
+            data["config"]["process"]["seed"] = 0
+        else:
+            data["failed_replicates"] = [{"replicate": 0, "attempts": 4, "error": TIE}]
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="malformed report"):
+            load_report(path)
+        data["schema_version"] = 1
+        path.write_text(json.dumps(data))
+        assert load_report(path).to_dict()["schema_version"] == 2
 
     def test_per_replicate_must_be_an_object(self, tmp_path):
         data = run_experiment(small_config(replicates=1)).to_dict()

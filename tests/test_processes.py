@@ -55,10 +55,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="uniform_cube needs an integer dim"):
             ProcessSpec("uniform_cube", {"dim": dim})
 
-    def test_bad_seed(self):
-        with pytest.raises(ConfigError):
-            ProcessSpec("normal", seed=-1)
-
     def test_kind_listing_is_sorted(self):
         kinds = process_kinds()
         assert kinds == sorted(kinds)
@@ -72,10 +68,16 @@ class TestSpecValidation:
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["uniform_cube", "circle", "cantor", "sierpinski"])
     def test_same_stream_same_points(self, kind):
-        spec = ProcessSpec(kind, seed=7)
-        a = generate(spec, 64)
-        b = generate(spec, 64)
+        spec = ProcessSpec(kind)
+        a = generate(spec, 64, RandomStream(7))
+        b = generate(spec, 64, RandomStream(7))
         assert np.array_equal(a.coords, b.coords)
+
+    def test_default_stream_is_seed_0_stream_0(self):
+        spec = ProcessSpec("normal")
+        assert np.array_equal(
+            generate(spec, 64).coords, generate(spec, 64, RandomStream(0, 0)).coords
+        )
 
     def test_substreams_differ(self):
         spec = ProcessSpec("uniform_cube", {"dim": 2})
@@ -111,24 +113,24 @@ class TestDeterminism:
 
 class TestGeometry:
     def test_uniform_cube_bounds_and_shape(self):
-        points = generate(ProcessSpec("uniform_cube", {"dim": 3}, seed=5), 500)
+        points = generate(ProcessSpec("uniform_cube", {"dim": 3}), 500, RandomStream(5))
         assert points.coords.shape == (500, 3)
         assert points.coords.min() >= 0.0 and points.coords.max() <= 1.0
 
     def test_uniform_cube_chi_square(self):
         # 10 equal cells in 1-d; chi2(9) has 0.999 quantile 27.9.
-        points = generate(ProcessSpec("uniform_cube", seed=3), 5000)
+        points = generate(ProcessSpec("uniform_cube"), 5000, RandomStream(3))
         counts = np.histogram(points.coords[:, 0], bins=10, range=(0.0, 1.0))[0]
         chi2 = float(((counts - 500.0) ** 2 / 500.0).sum())
         assert chi2 < 27.9
 
     def test_circle_radius(self):
-        points = generate(ProcessSpec("circle", seed=1), 300)
+        points = generate(ProcessSpec("circle"), 300, RandomStream(1))
         radii = np.hypot(points.coords[:, 0], points.coords[:, 1])
         assert np.allclose(radii, 1.0, atol=1e-12)
 
     def test_disk_uniform_inside_and_filling(self):
-        points = generate(ProcessSpec("disk_uniform", seed=2), 4000)
+        points = generate(ProcessSpec("disk_uniform"), 4000, RandomStream(2))
         r2 = np.einsum("ij,ij->i", points.coords, points.coords)
         assert r2.max() <= 1.0
         # Uniform area measure puts 3/4 of the mass outside radius 1/2.
@@ -137,7 +139,7 @@ class TestGeometry:
     def test_cantor_points_have_middle_thirds_removed(self):
         # The points are exact codes in units of 3^-40: all 40 ternary
         # digits are 0 or 2, and both occur at every depth.
-        points = generate(ProcessSpec("cantor", seed=9), 2000)
+        points = generate(ProcessSpec("cantor"), 2000, RandomStream(9))
         codes = points.coords[:, 0]
         assert points.coords.dtype == np.uint64
         assert int(codes.max()) < 3**40
@@ -157,7 +159,7 @@ class TestGeometry:
             assert np.array_equal(got, expected)
 
     def test_sierpinski_in_triangle(self):
-        points = generate(ProcessSpec("sierpinski", seed=4), 500)
+        points = generate(ProcessSpec("sierpinski"), 500, RandomStream(4))
         x, y = points.coords[:, 0], points.coords[:, 1]
         s = math.sqrt(3.0)
         assert np.all(y >= -1e-12)
@@ -184,12 +186,12 @@ class TestGeometry:
         assert points.coords.tobytes() == expected.tobytes()
 
     def test_log_uniform_is_nonpositive(self):
-        points = generate(ProcessSpec("log_uniform", seed=6), 1000)
+        points = generate(ProcessSpec("log_uniform"), 1000, RandomStream(6))
         assert points.coords.max() <= 0.0
 
     def test_inv_sqrt_matches_cdf(self):
         # P(X <= x) = sqrt(x): the 0.25 quantile is 1/16.
-        points = generate(ProcessSpec("inv_sqrt", seed=8), 8000)
+        points = generate(ProcessSpec("inv_sqrt"), 8000, RandomStream(8))
         frac = float((points.coords[:, 0] <= 1.0 / 16.0).mean())
         assert 0.23 < frac < 0.27
 
