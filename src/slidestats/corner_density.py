@@ -1,12 +1,10 @@
 """Corner densities and their entropy and slide functionals.
 
 A corner density is a monotone nonincreasing probability density on an
-interval whose closure contains 0.  Two representations coexist here:
-
-* analytic densities given by a callable on their domain (the built-in
-  catalog covers the standard examples with known closed-form entropies),
-* step densities built from a finite nonincreasing distance sequence D,
-  constant on the n equal subintervals of [0, 1).
+interval whose closure contains 0.  Here it is analytic: a callable on its
+domain, and the built-in catalog covers the standard examples with known
+closed-form entropies.  The step density of a finite distance sequence is
+not a :class:`CornerDensity`; the distance array itself stands for it.
 
 The central quantity is the genial entropy ``G(f) = -1 - int f ln(x f) dx``
 with the convention ``0 ln 0 = 0``.  It is invariant under rescaling of the
@@ -16,8 +14,8 @@ The slide function evaluates G along the normalized power family
 route: a density whose mass the quadrature cannot resolve raises
 :class:`DivergenceError` instead of returning a value.  For step densities
 the slide function has an exact finite form, which the quadrature route is
-tested against; :func:`step_slide_function` checks its input and evaluates
-that form with the slide curve of :mod:`slidestats.step_kernels`.
+tested against; :func:`step_slide_function` checks the distances and
+evaluates that form with the slide curve of :mod:`slidestats.step_kernels`.
 """
 
 from __future__ import annotations
@@ -72,11 +70,9 @@ class CornerDensity:
     normalization : float
         Integral of ``fn`` over the domain; the density proper is
         ``fn / normalization``.
-    distances : ndarray or None
-        For step densities, the underlying nonincreasing sequence.
-    known_entropy, known_slide, known_derivatives
-        Optional closed forms attached by the catalog, used as ground truth
-        when validating the numerical routes.
+    known_entropy : float or None
+        Closed-form genial entropy attached by the catalog, the ground truth
+        when validating the quadrature route.
     """
 
     def __init__(
@@ -84,10 +80,7 @@ class CornerDensity:
         fn: Callable[[float], float],
         domain: Interval,
         normalization: float,
-        distances: np.ndarray | None = None,
         known_entropy: float | None = None,
-        known_slide: Callable[[float], float] | None = None,
-        known_derivatives: Callable[[int], float] | None = None,
     ) -> None:
         if domain.lo != 0.0:
             raise ValueError("a corner density's domain must be anchored at 0")
@@ -96,10 +89,7 @@ class CornerDensity:
         self.fn = fn
         self.domain = domain
         self.normalization = normalization
-        self.distances = distances
         self.known_entropy = known_entropy
-        self.known_slide = known_slide
-        self.known_derivatives = known_derivatives
 
     @classmethod
     def from_function(
@@ -107,7 +97,7 @@ class CornerDensity:
         fn: Callable[[float], float],
         domain: Interval,
         normalization: float | None = None,
-        **metadata: Any,
+        known_entropy: float | None = None,
     ) -> "CornerDensity":
         """Wrap an analytic density, integrating it if no normalization is given.
 
@@ -119,29 +109,7 @@ class CornerDensity:
             normalization = integrate(fn, domain, _QUAD_TOL)
             if normalization <= 0.0:
                 raise ValueError("density must have positive integral")
-        return cls(fn, domain, normalization, **metadata)
-
-    @classmethod
-    def from_distances(cls, distances: Any) -> "CornerDensity":
-        """Step density of a nonincreasing positive sequence on [0, 1)."""
-        values = as_descending(distances, positive=True).values
-        n = values.size
-
-        def fn(x: float) -> float:
-            if 0.0 <= x < 1.0:
-                return float(values[min(int(n * x), n - 1)])
-            return 0.0
-
-        return cls(
-            fn,
-            Interval(0.0, 1.0),
-            normalization=float(values.mean()),
-            distances=values,
-        )
-
-    @property
-    def is_step(self) -> bool:
-        return self.distances is not None
+        return cls(fn, domain, normalization, known_entropy)
 
     def density(self, x: float) -> float:
         """Normalized density value at ``x``."""
@@ -214,15 +182,12 @@ def step_slide_function(distances: Any, t: float) -> SlideFunctionEvaluation:
 def slide_function(density: CornerDensity, t: float) -> SlideFunctionEvaluation:
     """Slide function ``G(f^t / A(t))`` of a corner density at ``t >= 0``.
 
-    For analytic densities both the area ``A(t) = int f^t`` and the entropy
-    integral run through adaptive quadrature to an absolute 1e-10, so the
-    nonnegativity check stays meaningful; a divergent area raises
-    :class:`DivergenceError` naming ``t``.  Step densities use the exact
-    finite form.
+    Both the area ``A(t) = int f^t`` and the entropy integral run through
+    adaptive quadrature to an absolute 1e-10, so the nonnegativity check
+    stays meaningful; a divergent area raises :class:`DivergenceError`
+    naming ``t``.
     """
     _check_slide_parameter(t)
-    if density.is_step:
-        return step_slide_function(density.distances, t)
     if t == 0.0:
         return SlideFunctionEvaluation(0.0, density.domain.measure, 0.0)
     z = density.normalization
@@ -300,8 +265,6 @@ def _catalog_neg_log() -> CornerDensity:
         Interval(0.0, 1.0),
         normalization=1.0,
         known_entropy=EULER_GAMMA,
-        known_slide=neg_log_slide,
-        known_derivatives=neg_log_derivative,
     )
 
 
@@ -348,8 +311,6 @@ def _catalog_neg_log_power(r: float) -> CornerDensity:
         Interval(0.0, 1.0),
         normalization=math.exp(log_gamma(1.0 + r)),
         known_entropy=neg_log_slide(1.0, r),
-        known_slide=lambda t: neg_log_slide(t, r),
-        known_derivatives=lambda order: neg_log_derivative(order, r),
     )
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import numbers
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -35,6 +33,7 @@ from .geometry import (
     _pool_task_context,
     shared_rank_weights,
 )
+from .numerics import _checked_positive
 from .processes import (
     GENERATOR_NAME,
     ProcessSpec,
@@ -82,20 +81,13 @@ def _is_number(value: Any) -> bool:
 
 
 def _checked_tol(tol: Any) -> float:
-    """``tol`` as a float; anything but a finite positive real is a ConfigError.
-
-    Numpy reals count; a ``bool`` does not.
-    """
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    """``tol`` under the rule of ``numerics._checked_positive``, as a ConfigError."""
     try:
-        number = float(tol) if real else math.nan
-    except OverflowError:  # an int beyond the double range
-        number = math.inf
-    if not 0.0 < number < math.inf:
+        return _checked_positive(tol, "tangibility_tol")
+    except ValueError:
         raise ConfigError(
             f"tangibility_tol must be a positive number, not inf or nan, got {tol!r}"
-        )
-    return number
+        ) from None
 
 
 def _checked_cap(cap: int) -> None:

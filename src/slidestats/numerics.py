@@ -18,7 +18,7 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import DivergenceError
 
@@ -149,7 +149,8 @@ def integrate(
         Finite or right-infinite domain.  A half line ``[lo, inf)`` is mapped
         to ``(0, 1)`` by ``x = lo + u / (1 - u)``.
     tol : float
-        Absolute error target for the summed Kronrod error estimates.
+        Absolute error target for the summed Kronrod error estimates, under
+        the rule of :func:`_checked_positive`.
     max_refinements : int
         Bisection budget.  Exhausting it raises :class:`DivergenceError`
         naming the sub-interval that refused to converge.
@@ -159,8 +160,7 @@ def integrate(
     The refinement order is a deterministic worst-first queue, so repeated
     calls with identical inputs return bit-identical results.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = _checked_positive(tol, "tol")
     if domain.bounded:
         g = f
         lo, hi = domain.lo, domain.hi
@@ -357,6 +357,22 @@ def _wanted_orders(
     return wanted
 
 
+def _checked_positive(value: Any, name: str) -> float:
+    """``value``, a tolerance or step called ``name``, as a positive float.
+
+    The one rule for both: anything but a finite positive real is a
+    ValueError.  Numpy reals count; a ``bool`` does not.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the double range
+        number = math.inf
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return number
+
+
 # ---------------------------------------------------------------------------
 # One-sided derivatives at zero.
 
@@ -383,16 +399,13 @@ def _oracle_order(max_order: int) -> int:
 class DerivativeEstimate:
     """A one-sided derivative at zero with its extrapolation error estimate.
 
-    ``reliable`` records whether ``error`` met the tolerance the caller asked
-    for; when no tolerance was requested it is always True.  An unreliable
-    estimate usually means the underlying derivative does not exist or the
-    step ladder was contaminated by evaluation noise.
+    A large ``error`` usually means the derivative does not exist or noise
+    spoiled the step ladder; a small one is no bound on the true error.
     """
 
     order: int
     value: float
     error: float
-    reliable: bool
 
 
 def _stencil_estimate(
@@ -409,7 +422,6 @@ def right_derivatives(
     g: Callable[[float], float],
     max_order: int,
     h0: float | None = None,
-    tol: float | None = None,
 ) -> list[DerivativeEstimate]:
     """Estimate right derivatives of ``g`` at 0 for orders ``1..max_order``.
 
@@ -420,10 +432,9 @@ def right_derivatives(
     max_order : int
         Highest derivative order, between 1 and 4.
     h0 : float, optional
-        Base step of the geometric ladder ``h0 * 2**-j``.  Defaults to 1e-2
-        for orders 1-2 and 5e-2 for orders 3-4.
-    tol : float, optional
-        Error tolerance used to set the ``reliable`` flag on each estimate.
+        Base step of the geometric ladder ``h0 * 2**-j``, under the rule of
+        :func:`_checked_positive`.  Defaults to 1e-2 for orders 1-2 and 5e-2
+        for orders 3-4.
 
     Notes
     -----
@@ -433,6 +444,8 @@ def right_derivatives(
     that fail to settle because the derivative diverges.
     """
     max_order = _oracle_order(max_order)
+    if h0 is not None:
+        h0 = _checked_positive(h0, "h0")
     cache: dict[float, float] = {0.0: g(0.0)}
 
     def eval_at(t: float) -> float:
@@ -469,12 +482,5 @@ def right_derivatives(
                     best_val, best_err = extrap, err
                 row.append(extrap)
             rows.append(row)
-        out.append(
-            DerivativeEstimate(
-                order=order,
-                value=best_val,
-                error=best_err,
-                reliable=True if tol is None else best_err <= tol,
-            )
-        )
+        out.append(DerivativeEstimate(order, best_val, best_err))
     return out

@@ -20,8 +20,7 @@ distance by a positive constant leaves the results unchanged to rounding.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 # step_slide_function is no longer called here, but perfbench/run.py times the
@@ -40,6 +39,7 @@ from .geometry import (
 )
 from .numerics import (
     DerivativeEstimate,
+    _checked_positive,
     _oracle_order,
     _wanted_orders,
     right_derivatives,
@@ -67,7 +67,7 @@ __all__ = [
 
 MAX_NUMERIC_ORDER = 4
 
-# Reliability thresholds of the differentiation oracle, by order.
+# Largest accepted gap between the closed forms and the oracle, by order.
 _ORACLE_TOL = {1: 1e-6, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
@@ -108,21 +108,18 @@ def psi2_conjectured(distances: Any) -> float:
     return _closed_forms(distances)[1]
 
 
-def psi_numeric(
-    distances: Any, max_order: int, h0: float | None = None
-) -> list[DerivativeEstimate]:
+def psi_numeric(distances: Any, max_order: int) -> list[DerivativeEstimate]:
     """Slide derivatives of orders ``1..max_order`` from the differentiation oracle.
 
     One slide curve and one derivative ladder serve every order.  Returns one
-    estimate record per order, order 1 first; ``reliable`` is False when the
-    Richardson error estimate exceeds that order's threshold in
-    ``_ORACLE_TOL``, which typically signals a divergent derivative.
+    estimate per order, order 1 first, with its Richardson error estimate; a
+    large one typically signals a divergent derivative, but from order 3 on
+    a small one is no bound on the true error.
     """
     d = as_descending(distances, min_size=2, positive=True)
     max_order = _oracle_order(max_order)
     curve = _slide_curve(d.values)
-    estimates = right_derivatives(lambda t: curve(t)[1], max_order, h0=h0)
-    return [replace(e, reliable=e.error <= _ORACLE_TOL[e.order]) for e in estimates]
+    return right_derivatives(lambda t: curve(t)[1], max_order)
 
 
 def level_derivatives(distances: Any, max_order: int) -> list[float]:
@@ -347,9 +344,11 @@ class TangibilityVerdict:
 
 
 def tangibility_check(report: SlideReport, tol: float = 0.1) -> TangibilityVerdict:
-    """Test whether the reported slide numbers match a common dimension."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be a finite positive number")
+    """Test whether the reported slide numbers match a common dimension.
+
+    ``tol`` follows the rule of :func:`slidestats.numerics._checked_positive`.
+    """
+    tol = _checked_positive(tol, "tol")
     if 1 not in report.orders or len(report.orders) < 2:
         raise ValueError("tangibility needs order 1 plus at least one more order")
     estimates = dimension_estimates(report)

@@ -15,21 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidestats import (
-    CornerDensity,
     DescendingDistances,
     DuplicatePointError,
-    genial_entropy,
     level_derivatives,
     psi1,
     psi2_conjectured,
     psi_numeric,
     step_slide_function,
 )
-
-
-def _density(d):
-    density = CornerDensity.from_distances(d)
-    return [density.normalization, genial_entropy(density), *density.distances]
 
 
 # name, call returning a flat list of floats, minimum length, zeros allowed
@@ -39,7 +32,6 @@ CONSUMERS = [
     ("psi_numeric", lambda d: [astuple(est) for est in psi_numeric(d, 2)], 2, False),
     ("level_derivatives", lambda d: level_derivatives(d, 3), 2, True),
     ("step_slide_function", lambda d: astuple(step_slide_function(d, 0.7)), 1, False),
-    ("CornerDensity.from_distances", _density, 1, False),
 ]
 IDS = [entry[0] for entry in CONSUMERS]
 
