@@ -44,7 +44,7 @@ from .harness import (
     run_experiment,
 )
 from .numerics import Interval, integrate, right_derivatives
-from .processes import process_kinds
+from .processes import _POINT_FORMATS, process_kinds
 # slide_numbers, assembly_numbers and level_numbers are no longer called here,
 # but perfbench/run.py hooks these module attributes.
 from .slide_stats import (  # noqa: F401
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="statistics of a stored point set")
     stats.add_argument("file", help="CSV or JSON point file")
-    stats.add_argument("--points-format", choices=("csv", "json"), default=None)
+    stats.add_argument("--points-format", choices=_POINT_FORMATS, default=None)
     stats.add_argument("--stat", default="slide", help="comma separated kinds")
     stats.add_argument("--orders", default="1,2", help="comma separated orders")
     stats.add_argument("--tol", type=float, default=0.1, help="tangibility tolerance")

@@ -37,6 +37,7 @@ from .numerics import _checked_positive
 from .processes import (
     GENERATOR_NAME,
     ProcessSpec,
+    _POINT_FORMATS,
     _as_int,
     _ignores_stream,
     generate,
@@ -608,7 +609,7 @@ def load_points(path: str | Path, format: str | None = None) -> PointSet:
                 f"{p}: cannot infer format from suffix {suffix!r}; "
                 "pass format='csv' or format='json'"
             )
-    if fmt not in ("csv", "json"):
+    if fmt not in _POINT_FORMATS:
         raise ConfigError(f"unknown point format {fmt!r}")
     coords = _parse_json_points(p) if fmt == "json" else _parse_csv_points(p)
     try:

@@ -9,10 +9,17 @@ scheduled across workers.
 
 Random kinds cover the distributions used in the simulation studies;
 cos_iteration, primes and from_file are deterministic and ignore the stream.
-Every kind gives float coordinates except cantor, whose points are exact
-uint64 codes in units of 3^-40 (see :func:`_gen_cantor`); the statistics are
-scale invariant, and :meth:`PointSet.from_coords` keeps the codes integer, so
-the 1-d extractions take their gaps exactly.
+The self-similar sets, cantor and sierpinski, draw independent points: each
+point gets 40 i.i.d. address digits from random bytes, and one Horner helper
+combines per-byte table values into exact integer codes, so two points tie
+only when all 40 digits agree.  Every kind gives float coordinates except
+cantor, whose points are the uint64 codes in units of 3^-40 (see
+:func:`_gen_cantor`); the statistics are scale invariant, and
+:meth:`PointSet.from_coords` keeps the codes integer, so the 1-d extractions
+take their gaps exactly.  Sierpinski codes are in units of 2^-41 for x and
+(sqrt(3)/2) 2^-40 for y; x converts to float exactly and y with one rounding
+(see :func:`_gen_sierpinski`).  The parameters of from_file are checked when
+its spec is built, like every other parameter.
 """
 
 from __future__ import annotations
@@ -38,16 +45,28 @@ __all__ = [
 
 GENERATOR_NAME = "Philox"
 
-_SIERPINSKI_BURN_IN = 100
-_CHAOS_CHUNK = 512
-# Byte b, bits b_0 (most significant) to b_7, as the 8 ternary digits 2 b_j:
-# sum 2 b_j 3^(7-j), at most 3^8 - 1.  Built in Python: numpy ufuncs at
-# import would add their code pages to the RSS of every process.
-_CANTOR_BYTE_DIGITS = np.array(
-    [sum(2 * (b >> (7 - j) & 1) * 3 ** (7 - j) for j in range(8)) for b in range(256)],
-    dtype=np.uint64,
-)
-_CANTOR_BYTES = 5  # 40 ternary digits; 3^40 < 2^64
+
+def _byte_codes(base, digits, weights, scale, dtype) -> np.ndarray:
+    # Byte b < base^digits holds the address digits d_j = b // base^j % base,
+    # the first of them in d_(digits-1): its code is sum weights[d_j] scale^j.
+    # Built in Python: numpy ufuncs at import would add their code pages to
+    # the RSS of every process.
+    codes = [
+        sum(weights[b // base**j % base] * scale**j for j in range(digits))
+        for b in range(base**digits)
+    ]
+    return np.array(codes, dtype=dtype)
+
+
+# Cantor: 8 bits as the ternary digits 0 and 2, a code below 3^8.
+_CANTOR_BYTE_DIGITS = _byte_codes(2, 8, (0, 2), 3, np.uint64)
+# Sierpinski: 5 base-3 digits, which address the vertices (0, 0), (1, 0) and
+# (1/2, sqrt(3)/2): x in units of 1/2 and y in units of sqrt(3)/2, each code
+# below 2^6.
+_SIERPINSKI_BYTE_X = _byte_codes(3, 5, (0, 2, 1), 2, float)
+_SIERPINSKI_BYTE_Y = _byte_codes(3, 5, (0, 0, 1), 2, float)
+# The point file formats that load_points reads.
+_POINT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -84,14 +103,6 @@ def _as_int(value: Any, error: str) -> int:
     return int(value)
 
 
-def _require_params(kind: str, params: dict, allowed: set[str]) -> None:
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigError(
-            f"process {kind!r} does not accept parameters {sorted(extra)}"
-        )
-
-
 def _gen_uniform_cube(rng: np.random.Generator, k: int, params: dict) -> np.ndarray:
     return rng.random((k, params.get("dim", 1)))
 
@@ -119,43 +130,45 @@ def _gen_inv_sqrt(rng, k, params):
     return u * u
 
 
+def _horner(table: np.ndarray, base: Any, raw: np.ndarray) -> np.ndarray:
+    """``sum_i table[raw[i]] base^(m-1-i)`` over the ``m`` rows of ``raw``.
+
+    Horner's rule, in the dtype of ``table``; beyond the result it holds one
+    row of table values.
+    """
+    code = table[raw[0]]
+    for row in raw[1:]:
+        code *= base
+        code += table[row]
+    return code
+
+
 def _gen_cantor(rng, k, params):
     # Each point is 5 random bytes, read as 40 ternary digits of 0 or 2, most
     # significant first: the uint64 code sum d_j 3^(40-j) of the point
     # sum d_j 3^-j.  Horner's rule in powers of 3^8 keeps every partial code
     # below 3^40 < 2^64, so it is exact, and two points tie only when all 40
-    # digits agree.  Beyond the codes this holds the bytes and one row of
-    # table values.
-    raw = rng.integers(0, 256, size=(_CANTOR_BYTES, k), dtype=np.uint8)
-    code = _CANTOR_BYTE_DIGITS[raw[0]]
-    for row in raw[1:]:
-        code *= np.uint64(3**8)
-        code += _CANTOR_BYTE_DIGITS[row]
-    return code[:, None]
+    # digits agree.
+    raw = rng.integers(0, 256, size=(5, k), dtype=np.uint8)
+    return _horner(_CANTOR_BYTE_DIGITS, np.uint64(3**8), raw)[:, None]
 
 
 def _gen_sierpinski(rng, k, params):
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
-    path = vertices[rng.integers(0, 3, size=k + _SIERPINSKI_BURN_IN)]
-    # The chaos game y_i = (y_{i-1} + v_i) / 2 runs as cumulative sums over
-    # chunks of the targets: from the point s before a chunk, its i-th step
-    # (from 0) is 2^(i+1) y_i = s + sum_{h <= i} 2^h v_h.  Scaling by a power
-    # of two is exact, so each partial sum rounds exactly as the sequential
-    # step does, and the chunk length keeps 2^i far from overflow.  The path
-    # overwrites the targets, and its burn-in points are dropped.
-    steps = np.arange(_CHAOS_CHUNK)
-    up = np.ldexp(1.0, steps)[:, None]  # 2^i
-    down = np.ldexp(1.0, -steps - 1)[:, None]  # 2^-(i+1)
-    y = vertices.mean(axis=0)
-    for lo in range(0, path.shape[0], _CHAOS_CHUNK):
-        chunk = path[lo : lo + _CHAOS_CHUNK]
-        m = chunk.shape[0]
-        np.multiply(chunk, up[:m], out=chunk)
-        chunk[0] += y
-        np.cumsum(chunk, axis=0, out=chunk)
-        np.multiply(chunk, down[:m], out=chunk)
-        y = chunk[-1]
-    return path[_SIERPINSKI_BURN_IN:]
+    # Each point is 8 random bytes below 3^5, read as 40 i.i.d. address
+    # digits d_j, most significant first: the point sum v_{d_j} 2^-j.  Its
+    # codes X = sum 2 x(v_{d_j}) 2^(40-j) and Y = sum [d_j = 2] 2^(40-j) are
+    # integers below 2^41, so Horner's rule in powers of 2^5 is exact in
+    # floats.  Then x = X 2^-41 is exact and y = Y (sqrt(3)/2) 2^-40 is rounded
+    # once; the map from addresses to points is injective, so two points tie
+    # only when all 40 digits agree.  The bytes are freed before the (k, 2)
+    # result is built, so at most four arrays of k floats are live.
+    raw = rng.integers(0, 3**5, size=(8, k), dtype=np.uint8)
+    x = _horner(_SIERPINSKI_BYTE_X, 2.0**5, raw)
+    y = _horner(_SIERPINSKI_BYTE_Y, 2.0**5, raw)
+    del raw
+    x *= 2.0**-41
+    y *= 0.5 * math.sqrt(3.0) * 2.0**-40
+    return np.column_stack((x, y))
 
 
 def _gen_circle(rng, k, params):
@@ -184,8 +197,6 @@ def _gen_disk_uniform(rng, k, params):
 
 
 def _gen_cos_iteration(rng, k, params):
-    if k == 1:
-        return np.zeros((1, 1))
     steps = np.cos(np.arange(k - 1, dtype=float))
     return np.concatenate(([0.0], np.cumsum(steps)))[:, None]
 
@@ -195,9 +206,7 @@ def _gen_primes(rng, k, params):
 
 
 def _gen_from_file(rng, k, params):
-    path = params.get("path")
-    if not isinstance(path, str) or not path:
-        raise ConfigError("from_file needs a 'path' parameter")
+    path = params["path"]
     from .harness import load_points  # deferred: harness depends on this module
 
     points = load_points(path, params.get("format"))
@@ -255,7 +264,11 @@ class ProcessSpec:
             raise ConfigError(
                 f"process params must be an object, got {self.params!r}"
             )
-        _require_params(self.kind, self.params, _KINDS[self.kind][1])
+        extra = set(self.params) - _KINDS[self.kind][1]
+        if extra:
+            raise ConfigError(
+                f"process {self.kind!r} does not accept parameters {sorted(extra)}"
+            )
         # Integers are stored as Python ints, so that a report can serialise them.
         if "dim" in self.params:  # only uniform_cube accepts a dim
             dim = self.params["dim"]
@@ -264,6 +277,12 @@ class ProcessSpec:
             if dim < 1:
                 raise ConfigError(error)
             object.__setattr__(self, "params", {**self.params, "dim": dim})
+        if self.kind == "from_file":
+            path, fmt = self.params.get("path"), self.params.get("format")
+            if not isinstance(path, str) or not path:
+                raise ConfigError(f"from_file needs a nonempty path, got {path!r}")
+            if fmt not in (None, *_POINT_FORMATS):
+                raise ConfigError(f"from_file format {fmt!r} not in {_POINT_FORMATS}")
 
 
 def generate(

@@ -273,6 +273,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"path": ""}, {"path": 5}, {"path": "a.csv", "format": "xml"}],
+        ids=["no-path", "empty-path", "int-path", "xml-format"],
+    )
+    def test_from_file_params_are_checked_at_construction(self, params):
+        with pytest.raises(ConfigError, match="from_file"):
+            ProcessSpec("from_file", params)
+        data = small_config().to_dict()
+        data["process"] = {"kind": "from_file", "params": params}
+        with pytest.raises(ConfigError, match="from_file"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_from_file_accepts_a_path_and_a_known_format(self, fmt):
+        spec = ProcessSpec("from_file", {"path": "a.txt", "format": fmt})
+        assert ExperimentConfig.from_dict(small_config(process=spec).to_dict()) == (
+            small_config(process=spec)
+        )
+
 
 class TestRunExperiment:
     def test_end_to_end(self):

@@ -12,7 +12,9 @@ measures each stage's peak on 2·10^5 points or distances, or on 700 points
 (2.4·10^5 distances) for the pairwise extraction.  Drawing Cantor points
 holds their uint64 codes, 5 random bytes per point and one row of table
 values; the 1-d extraction of those integer codes holds two arrays and
-numpy's buffer for casting the gaps to float.
+numpy's buffer for casting the gaps to float.  Drawing Sierpinski points
+holds 8 random bytes per point, the x and y codes, one row of table values
+and then the (n, 2) result, four arrays at most.
 Outside :func:`shared_rank_weights` no rank weights outlive the call that
 built them.
 """
@@ -116,6 +118,11 @@ STAGES = {
     "nn_2d": (lambda points, d: nn_distances(points[2]), 2 * ARRAY + query_block(2)),
     "nn_3d": (lambda points, d: nn_distances(points[3]), 2 * ARRAY + query_block(3)),
     "cantor": (lambda points, d: generate(ProcessSpec("cantor"), N), 3 * ARRAY),
+    # the random bytes index the tables through numpy's cast buffer
+    "sierpinski": (
+        lambda points, d: generate(ProcessSpec("sierpinski"), N),
+        4 * ARRAY + 8 * np.getbufsize(),
+    ),
     # the uint64 gaps reach their float array through numpy's cast buffer
     "nn_1d_integer": (
         lambda points, d: nn_distances(points["cantor"]),

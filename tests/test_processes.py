@@ -1,12 +1,9 @@
 """Point process generators: determinism, distributional sanity, primes."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slidestats import (
     ConfigError,
@@ -18,21 +15,7 @@ from slidestats import (
     process_kinds,
     substream,
 )
-from slidestats.processes import _gen_sierpinski, _ignores_stream
-
-
-def sequential_sierpinski(rng, k):
-    """The chaos game one step at a time, as a reference for the chunked one."""
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
-    targets = vertices[rng.integers(0, 3, size=k + 100)]
-    start = vertices.mean(axis=0).tolist()
-    out = np.empty((k, 2))
-    for j in range(2):
-        path = itertools.accumulate(
-            targets[:, j].tolist(), lambda y, v: 0.5 * (y + v), initial=start[j]
-        )
-        out[:, j] = list(path)[101:]
-    return out
+from slidestats.processes import _ignores_stream
 
 
 class TestSpecValidation:
@@ -148,16 +131,6 @@ class TestGeometry:
             assert not np.any(digit == 1)
             assert np.any(digit == 0) and np.any(digit == 2)
 
-    @pytest.mark.parametrize(
-        "k", [1, 2, 3, 411, 412, 413, 923, 924, 925, 1000, 4096, 10**4]
-    )
-    def test_sierpinski_matches_sequential_chaos_game(self, k):
-        # k + 100 burn-in steps fill whole chunks of 512 at k = 412 and 924
-        for seed in range(5):
-            got = _gen_sierpinski(RandomStream(seed).generator(), k, {})
-            expected = sequential_sierpinski(RandomStream(seed).generator(), k)
-            assert np.array_equal(got, expected)
-
     def test_sierpinski_in_triangle(self):
         points = generate(ProcessSpec("sierpinski"), 500, RandomStream(4))
         x, y = points.coords[:, 0], points.coords[:, 1]
@@ -166,24 +139,37 @@ class TestGeometry:
         assert np.all(y <= s * x + 1e-12)
         assert np.all(y <= s * (1.0 - x) + 1e-12)
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        seed=st.integers(0, 2**32),
-        k=st.one_of(st.sampled_from([1, 2, 10, 1000, 10_000]), st.integers(1, 300)),
-    )
-    def test_sierpinski_matches_point_loop(self, seed, k):
-        # The chaos game as one numpy step per point, burn-in included.
-        rng = RandomStream(seed, 3).generator()
+    def test_sierpinski_digits_decode_exactly(self):
+        # x = X 2^-41 and y = Y (sqrt(3)/2) 2^-40 for integer codes X and Y.
+        # At each depth digit 0 adds 0 to both codes, digit 1 adds 2 to X and
+        # digit 2 adds 1 to each, so (X - Y) / 2 holds the digits 1 as bits
+        # and Y the digits 2.
+        points = generate(ProcessSpec("sierpinski"), 2000, RandomStream(9))
+        x, y = points.coords[:, 0], points.coords[:, 1]
+        unit_y = 0.5 * math.sqrt(3.0) * 2.0**-40
+        x_code = np.ldexp(x, 41)
+        assert np.array_equal(x_code, np.floor(x_code))
+        x_code = x_code.astype(np.int64)
+        y_code = np.rint(y / unit_y).astype(np.int64)
+        assert np.array_equal(y, y_code * unit_y)  # y is rounded once
+        assert np.all((x_code - y_code) % 2 == 0)
+        ones, twos = (x_code - y_code) // 2, y_code
+        assert np.all(ones & twos == 0)
+        assert ones.min() >= 0 and twos.min() >= 0
+        assert ones.max() < 2**40 and twos.max() < 2**40
+        for j in range(40):
+            one = ones >> j & 1 == 1
+            two = twos >> j & 1 == 1
+            assert np.any(one) and np.any(two) and np.any(~one & ~two)
+
+    def test_consecutive_sierpinski_points_are_independent(self):
+        # A chaos game steps p_{i+1} = (p_i + v) / 2 toward a vertex v, so
+        # 2 p_{i+1} - p_i is a vertex for every i.
+        points = generate(ProcessSpec("sierpinski"), 2000, RandomStream(4)).coords
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
-        choices = rng.integers(0, 3, size=k + 100)
-        point = vertices.mean(axis=0)
-        expected = np.empty((k, 2))
-        for i, c in enumerate(choices):
-            point = 0.5 * (point + vertices[c])
-            if i >= 100:
-                expected[i - 100] = point
-        points = generate(ProcessSpec("sierpinski"), k, RandomStream(seed, 3))
-        assert points.coords.tobytes() == expected.tobytes()
+        back = 2.0 * points[1:] - points[:-1]
+        gaps = np.linalg.norm(back[:, None, :] - vertices[None, :, :], axis=2)
+        assert np.count_nonzero(gaps.min(axis=1) < 1e-9) == 0
 
     def test_log_uniform_is_nonpositive(self):
         points = generate(ProcessSpec("log_uniform"), 1000, RandomStream(6))
@@ -203,6 +189,7 @@ class TestCosIteration:
         assert x[0] == 0.0
         assert x[1] == pytest.approx(1.0, abs=1e-15)
         assert x[2] == pytest.approx(1.0 + math.cos(1.0), abs=1e-15)
+        assert generate(ProcessSpec("cos_iteration"), 1).coords.tolist() == [[0.0]]
 
     def test_large_orbit_has_no_duplicates(self):
         points = generate(ProcessSpec("cos_iteration"), 20000)
