@@ -44,7 +44,7 @@ from .harness import (
     run_experiment,
 )
 from .numerics import Interval, integrate, right_derivatives
-from .processes import _POINT_FORMATS, process_kinds
+from .processes import _POINT_FORMATS, _TEXT_PARAMS, process_kinds
 # slide_numbers, assembly_numbers and level_numbers are no longer called here,
 # but perfbench/run.py hooks these module attributes.
 from .slide_stats import (  # noqa: F401
@@ -52,14 +52,13 @@ from .slide_stats import (  # noqa: F401
     MAX_NUMERIC_ORDER,
     _checked_requests,
     _closed_forms,
+    _dimension_summary,
     assembly_numbers,
-    dimension_estimates,
     level_numbers,
     point_statistics,
     psi_numeric,
     slide_numbers,
     statistic_kind,
-    tangibility_check,
 )
 
 
@@ -72,13 +71,16 @@ def _parse_value(text: str) -> Any:
     return text
 
 
-def _parse_params(pairs: Sequence[str] | None) -> dict[str, Any]:
+def _parse_params(
+    pairs: Sequence[str] | None, text: frozenset[str] = frozenset()
+) -> dict[str, Any]:
+    """``key=value`` pairs; values parse as numbers unless ``key`` is in ``text``."""
     params: dict[str, Any] = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigError(f"--param expects key=value, got {pair!r}")
-        params[key] = _parse_value(value)
+        params[key] = value if key in text else _parse_value(value)
     return params
 
 
@@ -136,11 +138,9 @@ def _stats_payload(args: argparse.Namespace) -> dict[str, Any]:
             "oracle_error": {str(o): g for o, g in report.oracle_error.items()},
         }
         if kind == "slide":
-            payload["dimension_estimates"] = {
-                str(o): v for o, v in dimension_estimates(report).items()
-            }
-            if 1 in report.orders and len(report.orders) > 1:
-                verdict = tangibility_check(report, tol=tol)
+            estimates, verdict = _dimension_summary(report, tol)
+            payload["dimension_estimates"] = {str(o): v for o, v in estimates.items()}
+            if verdict is not None:
                 payload["tangibility"] = {
                     "tangible": verdict.tangible,
                     "consensus_dimension": verdict.consensus_dimension,
@@ -229,7 +229,7 @@ def _simulate_config_data(args: argparse.Namespace) -> dict[str, Any]:
             )
     else:
         data = {}
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, _TEXT_PARAMS)
     if args.process is not None:
         data["process"] = {"kind": args.process, "params": params}
     elif params:

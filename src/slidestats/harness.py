@@ -8,9 +8,10 @@ one draw: a degenerate sample (coincident points) fails its replicate and is
 recorded as a failure, never redrawn or dropped silently.
 
 Configs and reports go through one JSON codec that walks the dataclass
-fields, so the field list is the schema.  Every config check lives in
-``__post_init__``: a config built in code and one loaded from JSON obey one set
-of rules.
+fields both ways, encoding by field name and decoding by field type, so the
+fields are the schema.  Every config check lives in ``__post_init__``: a
+config built in code and one loaded from JSON obey one set of rules.  Csv
+and table render the same rows, one per report, statistic and order.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from pathlib import Path
+from types import UnionType
 from typing import Any, Iterable, Iterator, Sequence
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -49,13 +53,12 @@ from .slide_stats import (  # noqa: F401
     SlideReport,
     TangibilityVerdict,
     _checked_requests,
+    _dimension_summary,
     assembly_numbers,
-    dimension_estimates,
     level_numbers,
     point_statistics,
     slide_numbers,
     statistic_kind,
-    tangibility_check,
 )
 
 __all__ = [
@@ -186,16 +189,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentConfig":
         """Rebuild a config from ``to_dict`` output; absent optional keys default."""
-        kwargs = _json_kwargs(cls, data, "config")
-        kwargs["process"] = ProcessSpec(
-            **_json_kwargs(ProcessSpec, kwargs["process"], "process")
-        )
-        if "statistics" in kwargs:
-            kwargs["statistics"] = tuple(
-                StatisticRequest(**_json_kwargs(StatisticRequest, entry, "statistic"))
-                for entry in _json_array(kwargs["statistics"], "statistics")
-            )
-        return cls(**kwargs)
+        return _from_json(cls, data, "config")
 
 
 @dataclass(frozen=True)
@@ -250,26 +244,7 @@ class ExperimentReport:
                 body["config"]["process"].pop("seed", None)
                 for raw in body["failed_replicates"]:
                     raw.pop("attempts", None)
-            kwargs = _json_kwargs(cls, body, "report")
-            kwargs["config"] = ExperimentConfig.from_dict(kwargs["config"])
-            kwargs["per_replicate"] = {
-                key: tuple(values) for key, values in kwargs["per_replicate"].items()
-            }
-            kwargs["aggregates"] = {
-                key: Aggregate(**raw) for key, raw in kwargs["aggregates"].items()
-            }
-            kwargs["dimension_estimates"] = _int_keys(kwargs["dimension_estimates"])
-            if kwargs["tangibility"] is not None:
-                verdict = TangibilityVerdict(**kwargs["tangibility"])
-                kwargs["tangibility"] = replace(
-                    verdict,
-                    dimension_estimates=_int_keys(verdict.dimension_estimates),
-                    residuals=_int_keys(verdict.residuals),
-                )
-            kwargs["failed_replicates"] = tuple(
-                FailedReplicate(**raw) for raw in kwargs["failed_replicates"]
-            )
-            return cls(**kwargs)
+            return _from_json(cls, body, "report")
         except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed report: {exc}") from exc
 
@@ -288,7 +263,7 @@ def _to_json(value: Any) -> Any:
 def _json_kwargs(cls: type, data: Any, label: str) -> dict[str, Any]:
     """Keyword arguments for ``cls`` from a JSON object naming exactly its fields.
 
-    Optional fields may be absent; the values are left to ``__post_init__``.
+    Optional fields may be absent; the values are returned as given.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{label} must be a JSON object, got {data!r}")
@@ -304,14 +279,35 @@ def _json_kwargs(cls: type, data: Any, label: str) -> dict[str, Any]:
     return dict(data)
 
 
-def _json_array(data: Any, label: str) -> list[Any]:
-    if not isinstance(data, list):
-        raise ConfigError(f"{label} must be a JSON array, got {data!r}")
+# The field types of a dataclass, resolved once per class.
+_field_types = cache(get_type_hints)
+
+
+def _from_json(hint: Any, data: Any, label: str) -> Any:
+    """Decode ``data`` as the type ``hint``: the inverse of ``_to_json``.
+
+    A dataclass takes the object ``_json_kwargs`` accepts, its fields labelled
+    by name; ``tuple[X, ...]`` takes only an array, its items labelled by the
+    singular; ``dict[K, V]`` takes only an object, its keys cast to ``K``; and
+    ``X | None`` passes None.  Leaf values are left to ``__post_init__``.
+    """
+    if is_dataclass(hint):
+        types = _field_types(hint)
+        kwargs = _json_kwargs(hint, data, label)
+        return hint(**{k: _from_json(types[k], v, k) for k, v in kwargs.items()})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        inner = next(arg for arg in args if arg is not type(None))
+        return None if data is None else _from_json(inner, data, label)
+    if origin is tuple:
+        if not isinstance(data, list):
+            raise ConfigError(f"{label} must be a JSON array, got {data!r}")
+        return tuple(_from_json(args[0], v, label.removesuffix("s")) for v in data)
+    if origin is dict:
+        if not isinstance(data, dict):
+            raise ConfigError(f"{label} must be a JSON object, got {data!r}")
+        return {args[0](k): _from_json(args[1], v, label) for k, v in data.items()}
     return data
-
-
-def _int_keys(mapping: dict[str, Any] | None) -> dict[int, Any] | None:
-    return None if mapping is None else {int(k): v for k, v in mapping.items()}
 
 
 def _point_statistics(config: ExperimentConfig, points: PointSet) -> dict[str, float]:
@@ -431,9 +427,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 for order in slide_request.orders
             }
         )
-        estimates = dimension_estimates(mean_report)
-        if slide_request.orders[0] == 1 and len(slide_request.orders) > 1:
-            verdict = tangibility_check(mean_report, tol=config.tangibility_tol)
+        estimates, verdict = _dimension_summary(mean_report, config.tangibility_tol)
 
     provenance = {
         "package": "slidestats",
@@ -468,8 +462,6 @@ def _process_label(spec: ProcessSpec) -> str:
 
 def render_report(report: ExperimentReport, format: str = "json") -> str:
     """Render one report as json, csv, or a text table."""
-    if format == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     return render_reports([report], format)
 
 
@@ -485,11 +477,12 @@ def render_reports(
         raise ValueError("at least one report is required")
     if format == "json":
         if len(reports) == 1:
-            return render_report(reports[0], "json")
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "reports": [report.to_dict() for report in reports],
-        }
+            payload = reports[0].to_dict()
+        else:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "reports": [report.to_dict() for report in reports],
+            }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if format == "csv":
         return _render_csv(reports)
@@ -500,28 +493,28 @@ def render_reports(
     )
 
 
-def _render_csv(reports: Sequence[ExperimentReport]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["process", "statistic", "order", "replicates", "mean", "sd"])
+def _rows(
+    reports: Sequence[ExperimentReport],
+) -> Iterator[tuple[str, str, int, Aggregate | None]]:
+    """(process label, kind, order, aggregate or None if all failed) per order."""
     for report in reports:
         label = _process_label(report.config.process)
         for request in report.config.statistics:
             for order in request.orders:
                 agg = report.aggregates.get(request.key(order))
-                if agg is None:
-                    writer.writerow([label, request.kind, order, 0, "", ""])
-                    continue
-                writer.writerow(
-                    [
-                        label,
-                        request.kind,
-                        order,
-                        agg.count,
-                        repr(agg.mean),
-                        "" if agg.sd is None else repr(agg.sd),
-                    ]
-                )
+                yield label, request.kind, order, agg
+
+
+def _render_csv(reports: Sequence[ExperimentReport]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["process", "statistic", "order", "replicates", "mean", "sd"])
+    for label, kind, order, agg in _rows(reports):
+        if agg is None:
+            writer.writerow([label, kind, order, 0, "", ""])
+        else:
+            sd = "" if agg.sd is None else repr(agg.sd)
+            writer.writerow([label, kind, order, agg.count, repr(agg.mean), sd])
     return buffer.getvalue()
 
 
@@ -529,32 +522,14 @@ def format_table(reports: Sequence[ExperimentReport]) -> str:
     """Aligned text table, one row per statistic order."""
     header = ("process", "statistic", "n", "reps", "mean", "sd", "1/mean")
     rows: list[tuple[str, ...]] = [header]
-    for report in reports:
-        label = _process_label(report.config.process)
-        for request in report.config.statistics:
-            symbol = statistic_kind(request.kind).symbol
-            for order in request.orders:
-                agg = report.aggregates.get(request.key(order))
-                if agg is None:
-                    rows.append(
-                        (label, symbol, str(order), "0",
-                         "all replicates failed", "", "")
-                    )
-                    continue
-                inverse = ""
-                if order == 1 and agg.mean > 0.0:
-                    inverse = f"{1.0 / agg.mean:.6f}"
-                rows.append(
-                    (
-                        label,
-                        symbol,
-                        str(order),
-                        str(agg.count),
-                        f"{agg.mean:.6f}",
-                        "" if agg.sd is None else f"{agg.sd:.6f}",
-                        inverse,
-                    )
-                )
+    for label, kind, order, agg in _rows(reports):
+        start = (label, statistic_kind(kind).symbol, str(order))
+        if agg is None:
+            rows.append((*start, "0", "all replicates failed", "", ""))
+            continue
+        inverse = f"{1.0 / agg.mean:.6f}" if order == 1 and agg.mean > 0.0 else ""
+        sd = "" if agg.sd is None else f"{agg.sd:.6f}"
+        rows.append((*start, str(agg.count), f"{agg.mean:.6f}", sd, inverse))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
     for index, row in enumerate(rows):

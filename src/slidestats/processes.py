@@ -235,6 +235,8 @@ _KINDS: dict[str, tuple[Any, set[str], bool]] = {
     "primes": (_gen_primes, set(), False),
     "from_file": (_gen_from_file, {"path", "format"}, False),
 }
+# Parameters whose values are text: a command line passes them on as given.
+_TEXT_PARAMS = frozenset({"path", "format"})
 
 
 def process_kinds() -> list[str]:

@@ -370,3 +370,16 @@ def tangibility_check(report: SlideReport, tol: float = 0.1) -> TangibilityVerdi
         tangible,
         tol,
     )
+
+
+def _dimension_summary(
+    report: SlideReport, tol: float
+) -> tuple[dict[int, float | None], TangibilityVerdict | None]:
+    """Dimension estimates of ``report``, and its tangibility verdict or None.
+
+    A verdict needs order 1 and at least one higher order.
+    """
+    verdict = None
+    if 1 in report.values and len(report.values) > 1:
+        verdict = tangibility_check(report, tol=tol)
+    return dimension_estimates(report), verdict

@@ -286,6 +286,25 @@ class TestSimulate:
             f"{label},slide,2,0,,",
         ]
 
+    def test_numeric_file_name_stays_a_path(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        rows = np.random.default_rng(5).random((20, 2))
+        np.savetxt(tmp_path / "2024", rows, delimiter=",")
+        argv = [
+            "simulate",
+            "--process", "from_file",
+            "--param", "path=2024",
+            "--param", "format=csv",
+            "--size", "20",
+            "--replicates", "1",
+            "--format", "csv",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[1].startswith('"from_file(format=csv,path=2024)",slide,1,1,')
+
     def test_dims_requires_uniform_cube(self, capsys):
         assert main(["simulate", "--dims", "1,2", "--process", "normal"]) == 2
 

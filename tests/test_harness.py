@@ -863,3 +863,29 @@ class TestReportFromDict:
     def test_rejects_non_object(self):
         with pytest.raises(ParseError):
             ExperimentReport.from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("per_replicate", "slide:1"), "abc"),
+            (("aggregates", "slide:1"), {"mean": 0.5, "sd": None, "count": 2, "n": 2}),
+            (("dimension_estimates", "one"), 1.0),
+            (("failed_replicates",), {"replicate": 0, "error": TIE}),
+            (("tangibility", "residuals"), [0.01]),
+        ],
+        ids=[
+            "per-replicate-string",
+            "aggregate-unknown-key",
+            "non-integer-order",
+            "failures-object",
+            "residuals-array",
+        ],
+    )
+    def test_malformed_parts_are_parse_errors(self, path, value):
+        data = run_experiment(small_config(replicates=2)).to_dict()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ParseError, match="malformed report"):
+            ExperimentReport.from_dict(data)
